@@ -31,10 +31,20 @@ import (
 	"time"
 )
 
-// setupRepeats is how many times a --trace 0 run builds the workload
-// from scratch; setup_s is the median, which keeps one slow process
-// start or page-fault burst out of the figure.
-const setupRepeats = 7
+// A --trace 0 run builds the workload from scratch in setupBatches
+// batches. A batch repeats the setup until its setups add up to
+// setupBatchSeconds, and its figure is their mean; setup_s is the
+// median of the batch figures. A single setup takes milliseconds, and
+// on a shared host the same setup reads up to twice as slow for
+// stretches of 0.1 s or so; a batch averages over such stretches, and
+// the median keeps one slow batch (the first, with the process's cold
+// start) out of the figure. Each setup starts after a forced
+// collection, so the garbage of the one before (a closed workload) is
+// not collected inside it at a random point.
+const (
+	setupBatches      = 9
+	setupBatchSeconds = 0.2
+)
 
 // workload is one benchmark scenario, built by a setupFunc. run drives
 // the pre-materialised plan until the phase deadline; verify checks the
@@ -46,12 +56,20 @@ type workload interface {
 	close() error
 }
 
-// setupFunc builds a workload from env: its seed, and --seconds, which
-// sizes plans that are consumed rather than cycled. tr, when non-nil,
-// records spans around the layer calls setup makes.
-type setupFunc func(ctx context.Context, env *env, tr *tracer) (workload, error)
+// A workload is built in two steps. Its prepareFunc generates the
+// seeded plan from env: the seed, and --seconds, which sizes plans that
+// are consumed rather than cycled. That is the benchmark's own work,
+// done once per run before anything is timed. The setupFunc it returns
+// builds the workload on that plan: networks, reference results,
+// engine, listener, journal and the warm-up pass. setup_s times only
+// the setupFunc. tr, when non-nil, records spans around the layer
+// calls setup makes.
+type (
+	prepareFunc func(e *env) setupFunc
+	setupFunc   func(ctx context.Context, tr *tracer) (workload, error)
+)
 
-// env is what every workload's setup receives.
+// env is what every workload's prepareFunc receives.
 type env struct {
 	root    string // repository root holding the module sources
 	work    string // scratch directory for journals and trace files
@@ -60,11 +78,11 @@ type env struct {
 	procs   int // callers / connections / workers: runtime.NumCPU()
 }
 
-var workloads = map[string]setupFunc{
-	"sim-zoo":       setupSimZoo,
-	"sweep-dse":     setupSweep,
-	"serve-hot":     setupServeHot,
-	"serve-durable": setupServeDurable,
+var workloads = map[string]prepareFunc{
+	"sim-zoo":       prepareSimZoo,
+	"sweep-dse":     prepareSweep,
+	"serve-hot":     prepareServeHot,
+	"serve-durable": prepareServeDurable,
 }
 
 func workloadNames() []string {
@@ -92,7 +110,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	setup, ok := workloads[*name]
+	prepare, ok := workloads[*name]
 	if !ok || *seconds <= 0 || (*traced != 0 && *traced != 1) {
 		fmt.Fprintf(stderr, "perfbench: need --workload in %v, --seconds > 0, --trace 0|1\n", workloadNames())
 		return 2
@@ -107,6 +125,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	}
 	e := &env{root: *root, work: *work, seed: *seed, seconds: *seconds, procs: runtime.NumCPU()}
 	ctx := context.Background()
+	setup := prepare(e)
 	var res *result
 	var err error
 	if *traced == 1 {
@@ -142,24 +161,32 @@ func checkRoot(root string) error {
 	return nil
 }
 
-// runUntraced builds the workload setupRepeats times (timing each
-// build, closing all but the last), then runs the timed phase with
-// tracing off and reports the end-to-end metrics.
+// runUntraced builds the workload in setup batches (timing each build,
+// closing all but the last), then runs the timed phase with tracing off
+// and reports the end-to-end metrics.
 func runUntraced(ctx context.Context, setup setupFunc, e *env, stderr io.Writer) (*result, error) {
 	var w workload
-	setups := make([]float64, 0, setupRepeats)
-	for i := 0; i < setupRepeats; i++ {
-		if w != nil {
-			if err := w.close(); err != nil {
-				return nil, err
+	setups := make([]float64, 0, setupBatches)
+	n := 0
+	for b := 0; b < setupBatches; b++ {
+		var sum float64
+		k := 0
+		for ; sum < setupBatchSeconds; k++ {
+			if w != nil {
+				if err := w.close(); err != nil {
+					return nil, err
+				}
 			}
+			runtime.GC()
+			start := time.Now()
+			var err error
+			if w, err = setup(ctx, nil); err != nil {
+				return nil, fmt.Errorf("setup: %w", err)
+			}
+			sum += time.Since(start).Seconds()
 		}
-		start := time.Now()
-		var err error
-		if w, err = setup(ctx, e, nil); err != nil {
-			return nil, fmt.Errorf("setup: %w", err)
-		}
-		setups = append(setups, time.Since(start).Seconds())
+		setups = append(setups, sum/float64(k))
+		n += k
 	}
 	probeStart := probeMops()
 	ph := newPhase(durationOf(e.seconds), nil)
@@ -173,8 +200,8 @@ func runUntraced(ctx context.Context, setup setupFunc, e *env, stderr io.Writer)
 		return nil, err
 	}
 	probeEnd := probeMops()
-	fmt.Fprintf(stderr, "perfbench: setups %.4f s, host probe %.1f / %.1f Mops/s\n",
-		setups, probeStart, probeEnd)
+	fmt.Fprintf(stderr, "perfbench: %d setups, batch means %.4f s, host probe %.1f / %.1f Mops/s\n",
+		n, setups, probeStart, probeEnd)
 	res := ph.endToEnd()
 	res.set("setup_s", median(setups), "s")
 	fmt.Fprintf(stderr, "perfbench: window throughput %s\n", spread(ph.windowRates()))
@@ -188,7 +215,7 @@ func runUntraced(ctx context.Context, setup setupFunc, e *env, stderr io.Writer)
 // per-layer metrics plus the tracing overhead.
 func runTraced(ctx context.Context, name string, setup setupFunc, e *env, stderr io.Writer) (*result, error) {
 	tr := newTracer()
-	w, err := setup(ctx, e, tr)
+	w, err := setup(ctx, tr)
 	if err != nil {
 		return nil, fmt.Errorf("setup: %w", err)
 	}

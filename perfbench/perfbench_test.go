@@ -99,7 +99,7 @@ func TestSweepPointsMatchSpaceSize(t *testing.T) {
 }
 
 func TestSimZooGoldenCheck(t *testing.T) {
-	w, err := setupSimZoo(context.Background(), testEnv(t), nil)
+	w, err := prepareSimZoo(testEnv(t))(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestSimZooGoldenCheck(t *testing.T) {
 }
 
 func TestSweepReferenceCheck(t *testing.T) {
-	w, err := setupSweep(context.Background(), testEnv(t), nil)
+	w, err := prepareSweep(testEnv(t))(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestSweepReferenceCheck(t *testing.T) {
 }
 
 func TestServeHotReplyCheck(t *testing.T) {
-	w, err := setupServeHot(context.Background(), testEnv(t), nil)
+	w, err := prepareServeHot(testEnv(t))(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestServeHotReplyCheck(t *testing.T) {
 }
 
 func TestServeDurableResultCheck(t *testing.T) {
-	w, err := setupServeDurable(context.Background(), testEnv(t), nil)
+	w, err := prepareServeDurable(testEnv(t))(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,6 +181,36 @@ func TestServeDurableResultCheck(t *testing.T) {
 	})
 	if failed != 1 {
 		t.Fatalf("result check flagged %d jobs, want 1", failed)
+	}
+}
+
+func TestHistogramMedian(t *testing.T) {
+	var h histogram
+	for _, us := range []int{5, 1, 3, 2, 4000} {
+		h.add(time.Duration(us) * time.Microsecond)
+	}
+	if got, want := h.median(), 3*time.Microsecond; got < want || got > want+want/128 {
+		t.Errorf("median %v, want %v to the histogram's resolution", got, want)
+	}
+	if h.sum != 4011*time.Microsecond {
+		t.Errorf("sum %v, want 4.011ms", h.sum)
+	}
+	for _, d := range []time.Duration{0, 127, 128, 255, 256, 1e9, 1 << 45} {
+		if mid := time.Duration(bucketMid(bucketOf(d))); d < 1<<histMaxBits && (mid < d-d/128 || mid > d+d/128) {
+			t.Errorf("%v lands in a bucket centred on %v", d, mid)
+		}
+	}
+}
+
+// The traced half must not grow the heap: recording a span under a
+// known name allocates nothing.
+func TestTracerRecordDoesNotAllocate(t *testing.T) {
+	tr := newTracer()
+	now := time.Now()
+	if n := testing.AllocsPerRun(1000, func() {
+		tr.record("core.Step.conv", 0, 0, now, now.Add(time.Microsecond))
+	}); n != 0 {
+		t.Errorf("record allocated %v times per span", n)
 	}
 }
 

@@ -87,15 +87,26 @@ type jobView struct {
 	Schedule json.RawMessage `json:"schedule"`
 }
 
-func setupServeDurable(ctx context.Context, e *env, tr *tracer) (workload, error) {
+// prepareServeDurable generates each connection's distinct-key op
+// sequence, sized by --seconds. Jobs are consumed, not cycled, so the
+// setups of one run share the plan but each starts an engine with a
+// fresh journal and an empty cache.
+func prepareServeDurable(e *env) setupFunc {
+	perConn := int(e.seconds*durablePlanRate)/e.procs + 64
+	plan := durablePlan(e.seed, e.procs, perConn)
+	return func(ctx context.Context, tr *tracer) (workload, error) {
+		return setupServeDurable(ctx, e, plan, tr)
+	}
+}
+
+func setupServeDurable(ctx context.Context, e *env, plan [][]durableOp, tr *tracer) (workload, error) {
 	nets, err := buildNetworks(durableNetworks, tr)
 	if err != nil {
 		return nil, err
 	}
-	perConn := int(e.seconds*durablePlanRate)/e.procs + 64
 	w := &serveDurable{
 		nets:   nets,
-		plan:   durablePlan(e.seed, e.procs, perConn),
+		plan:   plan,
 		cursor: make([]int, e.procs),
 		phases: map[*phase]*durableRecords{},
 	}
@@ -129,15 +140,15 @@ func setupServeDurable(ctx context.Context, e *env, tr *tracer) (workload, error
 // returns the result document (and, for jobs, the job's timestamps) and
 // the instants the POST was sent and the result was ready.
 func (w *serveDurable) submit(ctx context.Context, c int, op *durableOp, buf *bytes.Buffer, tr *tracer, id int64) (v jobView, sent, done time.Time, err error) {
-	path := "/v1/simulate"
+	path, name := "/v1/simulate", "http.POST /v1/simulate"
 	if op.schedule {
-		path = "/v1/schedule"
+		path, name = "/v1/schedule", "http.POST /v1/schedule"
 	}
 	sent = time.Now()
 	status, err := w.s.do(ctx, c, http.MethodPost, path, op.body, buf)
 	posted := time.Now()
 	if tr != nil {
-		tr.record("http.POST "+path, c, id, sent, posted)
+		tr.record(name, c, id, sent, posted)
 	}
 	want := http.StatusAccepted
 	if !op.async {

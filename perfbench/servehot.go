@@ -74,13 +74,20 @@ func (d cacheDelta) hitRatio() float64 {
 
 func (d cacheDelta) evictions() int64 { return d.after.Evictions - d.before.Evictions }
 
-func setupServeHot(ctx context.Context, e *env, tr *tracer) (workload, error) {
+// prepareServeHot generates each connection's seeded key order.
+func prepareServeHot(e *env) setupFunc {
+	plan := hotPlan(e.seed, len(hotKeys()), e.procs, hotPerConn)
+	return func(ctx context.Context, tr *tracer) (workload, error) {
+		return setupServeHot(ctx, e, plan, tr)
+	}
+}
+
+func setupServeHot(ctx context.Context, e *env, plan [][]int, tr *tracer) (workload, error) {
 	nets, err := buildNetworks(hotNetworks, tr)
 	if err != nil {
 		return nil, err
 	}
-	w := &serveHot{keys: hotKeys(), phases: map[*phase]*hotRecords{}}
-	w.plan = hotPlan(e.seed, len(w.keys), e.procs, hotPerConn)
+	w := &serveHot{keys: hotKeys(), plan: plan, phases: map[*phase]*hotRecords{}}
 	w.cursor = make([]int, e.procs)
 	// The direct results stay untraced: core must not show up in the
 	// per-layer figures of a workload where the server never runs it.

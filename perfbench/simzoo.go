@@ -29,7 +29,16 @@ type simZoo struct {
 	cursor int
 }
 
-func setupSimZoo(ctx context.Context, e *env, tr *tracer) (workload, error) {
+// prepareSimZoo generates the seeded pair order over the 16 zoo
+// networks × core.Strategies().
+func prepareSimZoo(e *env) setupFunc {
+	plan := zooPlan(e.seed, len(nn.ZooNames())*len(core.Strategies()), zooPasses)
+	return func(ctx context.Context, tr *tracer) (workload, error) {
+		return setupSimZoo(ctx, e, plan, tr)
+	}
+}
+
+func setupSimZoo(ctx context.Context, e *env, plan []int, tr *tracer) (workload, error) {
 	golden, err := loadGolden(e.root)
 	if err != nil {
 		return nil, err
@@ -38,7 +47,7 @@ func setupSimZoo(ctx context.Context, e *env, tr *tracer) (workload, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &simZoo{}
+	w := &simZoo{plan: plan}
 	for _, net := range nets {
 		for _, s := range core.Strategies() {
 			want, ok := golden[net.Name+"/"+s.String()]
@@ -48,7 +57,6 @@ func setupSimZoo(ctx context.Context, e *env, tr *tracer) (workload, error) {
 			w.pairs = append(w.pairs, zooPair{net: net, strat: s, want: want})
 		}
 	}
-	w.plan = zooPlan(e.seed, len(w.pairs), zooPasses)
 	// Warm-up: every pair once, checked like a timed op. It stays
 	// untraced so the per-layer figures describe the timed ops.
 	st := newStepper(nil, 0)

@@ -27,12 +27,20 @@ type sweep struct {
 	model    []modelSum // per point; zero for points that do not fit
 }
 
-func setupSweep(ctx context.Context, e *env, tr *tracer) (workload, error) {
+// prepareSweep generates the seeded order of the design space.
+func prepareSweep(e *env) setupFunc {
+	space := sweepSpace(e.seed)
+	return func(ctx context.Context, tr *tracer) (workload, error) {
+		return setupSweep(ctx, e, space, tr)
+	}
+}
+
+func setupSweep(ctx context.Context, e *env, space dse.Space, tr *tracer) (workload, error) {
 	nets, err := buildNetworks([]string{sweepNetwork}, tr)
 	if err != nil {
 		return nil, err
 	}
-	w := &sweep{net: nets[0], space: sweepSpace(e.seed), dev: fpga.VC709(), parallel: e.procs}
+	w := &sweep{net: nets[0], space: space, dev: fpga.VC709(), parallel: e.procs}
 	st := newStepper(tr, 0)
 	for i, p := range spacePoints(w.space) {
 		o, m, err := referenceOutcome(ctx, st, w.net, w.dev, p, int64(i))
