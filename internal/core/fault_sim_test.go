@@ -250,7 +250,7 @@ func TestFailBankMigrationPaths(t *testing.T) {
 	cfg := Default()
 	cfg.Pool = sram.Config{NumBanks: 4, BankBytes: 1 << 10}
 	cfg.ReserveBanks = 0
-	e, err := newExecutor(cfg)
+	e, err := newExecutor(residualNet(t), cfg, Features{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

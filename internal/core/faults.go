@@ -36,8 +36,10 @@ func (e *executor) applyFaults(l layerRef) error {
 	if f := e.inj.Factor(); f != prevFactor {
 		e.obs.fault(FaultBWDegrade, 1)
 		e.obs.bandwidthFactor(f)
-		e.record(trace.Event{Kind: trace.KindFault, Layer: l.name,
-			Note: fmt.Sprintf("bw-degrade factor=%g", f)})
+		if e.rec != nil {
+			e.record(trace.Event{Kind: trace.KindFault, Layer: l.name,
+				Note: fmt.Sprintf("bw-degrade factor=%g", f)})
+		}
 	}
 	for _, ev := range events {
 		switch ev.Kind {
@@ -51,8 +53,10 @@ func (e *executor) applyFaults(l layerRef) error {
 			e.flt.MigrationCycles += scrub
 			e.layerFaultCycles += scrub
 			e.obs.fault(FaultBankTransient, n)
-			e.record(trace.Event{Kind: trace.KindFault, Layer: l.name,
-				Banks: int(n), Note: "bank-transient (scrubbed)"})
+			if e.rec != nil {
+				e.record(trace.Event{Kind: trace.KindFault, Layer: l.name,
+					Banks: int(n), Note: "bank-transient (scrubbed)"})
+			}
 		case fault.BankFail:
 			victims := ev.Banks
 			if len(victims) == 0 {
@@ -112,8 +116,10 @@ func (e *executor) failBank(l layerRef, bank int) error {
 			return fault.Errf(fault.Fatal, fault.CheckInvariant, l.name,
 				"retiring free bank %d: %w", bank, err)
 		}
-		e.record(trace.Event{Kind: trace.KindFault, Layer: l.name, Banks: 1,
-			Note: fmt.Sprintf("bank-fail bank=%d (free)", bank)})
+		if e.rec != nil {
+			e.record(trace.Event{Kind: trace.KindFault, Layer: l.name, Banks: 1,
+				Note: fmt.Sprintf("bank-fail bank=%d (free)", bank)})
+		}
 		e.obs.poolFailed(e.pool.FailedBanks())
 		return nil
 	}
@@ -128,8 +134,10 @@ func (e *executor) failBank(l layerRef, bank int) error {
 		e.layerFaultCycles += cost
 		e.obs.relocated()
 		e.obs.poolFailed(e.pool.FailedBanks())
-		e.record(trace.Event{Kind: trace.KindRelocate, Layer: l.name, Tag: owner.Tag(),
-			Banks: 1, Note: fmt.Sprintf("bank-fail bank=%d -> spare", bank)})
+		if e.rec != nil {
+			e.record(trace.Event{Kind: trace.KindRelocate, Layer: l.name, Tag: owner.Tag(),
+				Banks: 1, Note: fmt.Sprintf("bank-fail bank=%d -> spare", bank)})
+		}
 		return nil
 	}
 	return e.spillFailedBank(l, owner, bank)
@@ -185,13 +193,17 @@ func (e *executor) spillFailedBank(l layerRef, owner *sram.Buffer, bank int) err
 		}
 		e.flt.FaultSpillBytes += delta
 		e.obs.faultSpilled(delta)
-		e.recordSpan(trace.Event{Kind: trace.KindSpill, Layer: l.name, Tag: owner.Tag(),
-			Class: dram.ClassSpillWrite.String(), Bytes: delta,
-			Note: fmt.Sprintf("bank-fail bank=%d no spare", bank)}, start, dur)
+		if e.rec != nil {
+			e.recordSpan(trace.Event{Kind: trace.KindSpill, Layer: l.name, Tag: owner.Tag(),
+				Class: dram.ClassSpillWrite.String(), Bytes: delta,
+				Note: fmt.Sprintf("bank-fail bank=%d no spare", bank)}, start, dur)
+		}
 	}
 	e.obs.poolFailed(e.pool.FailedBanks())
-	e.record(trace.Event{Kind: trace.KindFault, Layer: l.name, Banks: 1,
-		Note: fmt.Sprintf("bank-fail bank=%d (spilled %d B)", bank, delta)})
+	if e.rec != nil {
+		e.record(trace.Event{Kind: trace.KindFault, Layer: l.name, Banks: 1,
+			Note: fmt.Sprintf("bank-fail bank=%d (spilled %d B)", bank, delta)})
+	}
 
 	// Shrink the resident that tracked this buffer so consumers fetch
 	// the spilled suffix from DRAM.
@@ -236,9 +248,11 @@ func (e *executor) retryLoop(c dram.Class, payload, moved, dur int64) error {
 		e.flt.RetryBytes += e.ch.RecordRetry(c, payload)
 		e.layerFaultCycles += cost
 		e.obs.retry(cost)
-		e.recordSpan(trace.Event{Kind: trace.KindRetry, Layer: e.curLayer,
-			Class: c.String(), Bytes: moved,
-			Note: fmt.Sprintf("attempt %d backoff %d", attempts, backoff)}, e.memCursor, cost)
+		if e.rec != nil {
+			e.recordSpan(trace.Event{Kind: trace.KindRetry, Layer: e.curLayer,
+				Class: c.String(), Bytes: moved,
+				Note: fmt.Sprintf("attempt %d backoff %d", attempts, backoff)}, e.memCursor, cost)
+		}
 		e.memCursor += cost
 		backoff *= 2
 	}

@@ -28,27 +28,16 @@ func VerifyFunctional(net *nn.Network, cfg Config, feat Features, seed int64) (s
 	if cfg.Pool.BankBytes%4 != 0 {
 		return stats.RunStats{}, fmt.Errorf("core: functional mode needs 4-byte-aligned banks, got %d", cfg.Pool.BankBytes)
 	}
-	if err := cfg.Validate(); err != nil {
-		return stats.RunStats{}, err
-	}
-	if err := net.Validate(); err != nil {
-		return stats.RunStats{}, err
-	}
-	e, err := newExecutor(cfg)
+	e, err := newExecutor(net, cfg, feat, nil, nil)
 	if err != nil {
 		return stats.RunStats{}, err
 	}
-	e.feat = feat
-	e.net = net
-	e.cp = buildConsumptionPlan(net)
-	e.residents = make([]*resident, len(net.Layers))
 	e.fn = &funcState{
 		seed:    seed,
 		golden:  make(map[int][]float32),
 		spilled: make(map[int]spilledCopy),
 	}
-	e.run = stats.RunStats{Network: net.Name, Strategy: featureLabel(feat) + "+functional",
-		Batch: cfg.Batch, ClockMHz: cfg.PE.ClockMHz}
+	e.run.Strategy += "+functional"
 	for _, l := range net.Layers {
 		if err := e.execLayer(l); err != nil {
 			return stats.RunStats{}, fmt.Errorf("core: functional %s: layer %s: %w", net.Name, l.Name, err)

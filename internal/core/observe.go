@@ -282,7 +282,8 @@ func (o *observer) finishRun(r *stats.RunStats, batch int64) {
 }
 
 // record stamps the event with the executor's layer clock and forwards
-// it to the trace recorder.
+// it to the trace recorder. Call sites check e.rec != nil first, so an
+// untraced run never builds the event.
 func (e *executor) record(ev trace.Event) {
 	ev.Cycle = e.clock
 	e.rec.Record(ev)

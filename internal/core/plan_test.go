@@ -99,6 +99,9 @@ func TestConsumptionPlanDuplicateReads(t *testing.T) {
 	if got := cp.sources[3]; len(got) != 2 {
 		t.Fatalf("add sources = %v", got)
 	}
+	if got := cp.distinct[3]; len(got) != 2 || got[0] != 1 || got[1] != 2 {
+		t.Errorf("add distinct sources = %v, want [1 2]", got)
+	}
 	// x is consumed by two distinct layers (y and add), counted once
 	// per layer.
 	if cp.consumers[1] != 2 {
@@ -115,14 +118,14 @@ func TestUniqueInts(t *testing.T) {
 		{[]int{3, 1, 3, 2, 1}, []int{3, 1, 2}},
 	}
 	for _, c := range cases {
-		got := uniqueInts(c.in)
+		got := appendUniqueInts(nil, c.in)
 		if len(got) != len(c.want) {
-			t.Errorf("uniqueInts(%v) = %v", c.in, got)
+			t.Errorf("appendUniqueInts(nil, %v) = %v", c.in, got)
 			continue
 		}
 		for i := range c.want {
 			if got[i] != c.want[i] {
-				t.Errorf("uniqueInts(%v)[%d] = %d, want %d", c.in, i, got[i], c.want[i])
+				t.Errorf("appendUniqueInts(nil, %v)[%d] = %d, want %d", c.in, i, got[i], c.want[i])
 			}
 		}
 	}
@@ -130,12 +133,10 @@ func TestUniqueInts(t *testing.T) {
 
 func TestNextUseAfter(t *testing.T) {
 	n := concatNet(t)
-	e, err := newExecutor(smallConfig())
+	e, err := newExecutor(n, smallConfig(), Features{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.net = n
-	e.cp = buildConsumptionPlan(n)
 	// e1 (2) is next used at head (5) from any point before.
 	if got := e.nextUseAfter(2, 2); got != 5 {
 		t.Errorf("nextUseAfter(e1, 2) = %d, want 5", got)
@@ -149,7 +150,8 @@ func TestMemCyclesDualChannel(t *testing.T) {
 	cfg := Default()
 	cfg.DRAM.BandwidthGBps = 1.0  // fmap channel
 	cfg.WeightBandwidthGBps = 2.0 // weight channel
-	e, err := newExecutor(cfg)
+	n := residualNet(t)
+	e, err := newExecutor(n, cfg, Features{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +168,7 @@ func TestMemCyclesDualChannel(t *testing.T) {
 	}
 	// Shared channel: everything serializes.
 	cfg.WeightBandwidthGBps = 0
-	e2, err := newExecutor(cfg)
+	e2, err := newExecutor(n, cfg, Features{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,11 +179,10 @@ func TestMemCyclesDualChannel(t *testing.T) {
 
 func TestReadClassRules(t *testing.T) {
 	n := residualNet(t) // input(0) c1(1) c2(2) c3(3) add(4)
-	e, err := newExecutor(smallConfig())
+	e, err := newExecutor(n, smallConfig(), Features{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.net = n
 	// Baseline (no role switch): adjacency reads are plain IFM.
 	e.feat = Features{}
 	if got := e.readClass(0, n.Layers[1]); got != dram.ClassIFMRead {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"shortcutmining/internal/nn"
 	"shortcutmining/internal/sram"
 )
@@ -49,11 +51,15 @@ func (r *resident) dropBuffer(pool *sram.Pool) error {
 // it actually reads. Concat layers are transparent: consuming a concat
 // consumes its (recursively expanded) sources, so concatenation is
 // pure bank layout and DenseNet-style multi-consumer fan-out works
-// without aliasing buffers.
+// without aliasing buffers. It is built once per run, so a step only
+// indexes it.
 type consumptionPlan struct {
 	// sources[i] lists the physical producer indices layer i reads
 	// (duplicates preserved: reading the same fmap twice costs twice).
 	sources [][]int
+	// distinct[i] is sources[i] without duplicates, in first-appearance
+	// order. Both are views into one flat array.
+	distinct [][]int
 	// consumers[p] is the number of distinct physical layers reading
 	// p's feature map.
 	consumers []int
@@ -66,65 +72,55 @@ func buildConsumptionPlan(net *nn.Network) consumptionPlan {
 	n := len(net.Layers)
 	cp := consumptionPlan{
 		sources:   make([][]int, n),
+		distinct:  make([][]int, n),
 		consumers: make([]int, n),
 		lastUse:   make([]int, n),
 	}
-	for i := range cp.lastUse {
-		cp.lastUse[i] = i
-	}
-
-	// expand resolves a producer to physical sources through concats.
-	var expand func(p *nn.Layer) []int
-	memo := make(map[int][]int)
-	expand = func(p *nn.Layer) []int {
-		if p.Kind != nn.OpConcat {
-			return []int{p.Index}
-		}
-		if got, ok := memo[p.Index]; ok {
-			return got
-		}
-		var out []int
-		for _, in := range p.Inputs {
-			out = append(out, expand(net.Layer(in))...)
-		}
-		memo[p.Index] = out
-		return out
-	}
-
+	// Views stay valid if flat regrows: earlier arrays are never
+	// written again.
+	flat := make([]int, 0, 4*n)
 	for _, l := range net.Layers {
+		cp.lastUse[l.Index] = l.Index
 		if l.Kind == nn.OpInput || l.Kind == nn.OpConcat {
 			continue
 		}
-		var srcs []int
+		start := len(flat)
 		for _, in := range l.Inputs {
-			srcs = append(srcs, expand(net.Layer(in))...)
+			flat = appendSources(flat, net, net.Layer(in))
 		}
-		cp.sources[l.Index] = srcs
-		for _, p := range uniqueInts(srcs) {
+		mid := len(flat)
+		flat = appendUniqueInts(flat, flat[start:mid])
+		cp.sources[l.Index] = flat[start:mid:mid]
+		cp.distinct[l.Index] = flat[mid:len(flat):len(flat)]
+		for _, p := range cp.distinct[l.Index] {
 			cp.consumers[p]++
-			if l.Index > cp.lastUse[p] {
-				cp.lastUse[p] = l.Index
-			}
+			cp.lastUse[p] = l.Index
 		}
 	}
 	return cp
 }
 
-// uniqueInts returns the distinct values of s in first-appearance
-// order (source lists are tiny, so the quadratic scan is fine).
-func uniqueInts(s []int) []int {
-	var out []int
+// appendSources appends the physical producers behind reading p's
+// output: p itself, or for a concat its parts, expanded recursively.
+func appendSources(dst []int, net *nn.Network, p *nn.Layer) []int {
+	if p.Kind != nn.OpConcat {
+		return append(dst, p.Index)
+	}
+	for _, in := range p.Inputs {
+		dst = appendSources(dst, net, net.Layer(in))
+	}
+	return dst
+}
+
+// appendUniqueInts appends the distinct values of s to dst in
+// first-appearance order (source lists are tiny, so the quadratic scan
+// is fine). s may be a view of dst itself.
+func appendUniqueInts(dst, s []int) []int {
+	base := len(dst)
 	for _, v := range s {
-		seen := false
-		for _, u := range out {
-			if u == v {
-				seen = true
-				break
-			}
-		}
-		if !seen {
-			out = append(out, v)
+		if !slices.Contains(dst[base:], v) {
+			dst = append(dst, v)
 		}
 	}
-	return out
+	return dst
 }

@@ -93,30 +93,9 @@ func NewRun(net *nn.Network, cfg Config, strat Strategy, rec trace.Recorder, reg
 // It performs the same validation and setup as SimulateFeatures but
 // executes nothing: the first layer runs on the first Step.
 func NewRunFeatures(net *nn.Network, cfg Config, feat Features, rec trace.Recorder, reg *metrics.Registry) (*Run, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if err := net.Validate(); err != nil {
-		return nil, err
-	}
-	e, err := newExecutor(cfg)
+	e, err := newExecutor(net, cfg, feat, rec, reg)
 	if err != nil {
 		return nil, err
-	}
-	if rec != nil {
-		e.rec = &trace.Stamper{R: rec}
-	}
-	e.obs = newObserver(reg)
-	e.obs.attach(e)
-	e.net = net
-	e.feat = feat
-	e.cp = buildConsumptionPlan(net)
-	e.residents = make([]*resident, len(net.Layers))
-	e.run = stats.RunStats{
-		Network:  net.Name,
-		Strategy: featureLabel(feat),
-		Batch:    cfg.Batch,
-		ClockMHz: cfg.PE.ClockMHz,
 	}
 	return &Run{e: e}, nil
 }
@@ -314,8 +293,10 @@ func (r *Run) Suspend() (Footprint, error) {
 				enc, _ := r.e.comp.CodecCycles(dram.ClassSpillWrite, dirty)
 				r.sched.SpillCycles += enc
 			}
-			r.e.record(trace.Event{Kind: trace.KindSpill, Layer: layer, Tag: buf.Tag(),
-				Bytes: moved, Note: "suspend"})
+			if r.e.rec != nil {
+				r.e.record(trace.Event{Kind: trace.KindSpill, Layer: layer, Tag: buf.Tag(),
+					Bytes: moved, Note: "suspend"})
+			}
 			res.spilled = res.total
 		}
 		if buf.Pinned() {
@@ -368,8 +349,10 @@ func (r *Run) Resume() error {
 				_, dec := r.e.comp.CodecCycles(dram.ClassSpillRead, res.onChip)
 				r.sched.ReloadCycles += dec
 			}
-			r.e.record(trace.Event{Kind: trace.KindRefill, Layer: r.e.net.Layers[r.next].Name,
-				Tag: s.tag, Bytes: moved, Note: "resume"})
+			if r.e.rec != nil {
+				r.e.record(trace.Event{Kind: trace.KindRefill, Layer: r.e.net.Layers[r.next].Name,
+					Tag: s.tag, Bytes: moved, Note: "resume"})
+			}
 		}
 	}
 	r.saved = r.saved[:0]

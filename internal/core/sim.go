@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"shortcutmining/internal/compress"
 	"shortcutmining/internal/dram"
@@ -122,8 +123,8 @@ type executor struct {
 	feat Features
 	pool *sram.Pool
 	ch   *dram.Channel
-	rec  *trace.Stamper
-	obs  *observer // nil when metrics are off
+	rec  *trace.Stamper // nil when untraced: no event is built
+	obs  *observer      // nil when metrics are off
 	cp   consumptionPlan
 	fn   *funcState // non-nil in functional-verification mode
 
@@ -154,13 +155,26 @@ type executor struct {
 	decCycles        int64
 	layerCodecCycles int64
 
+	// residents[p] points into slab once producer p has been placed
+	// (see place); recycle is allocOutput's reused operand list.
 	residents []*resident
+	slab      []resident
+	recycle   []recyclable
 	run       stats.RunStats
 }
 
-// newExecutor builds the platform half of an executor (pool, channel,
-// nop trace); callers fill in the network, features, and plan.
-func newExecutor(cfg Config) (*executor, error) {
+// newExecutor validates the platform and the network and builds the
+// complete executor state of a run that has executed nothing: pool,
+// channel, consumption plan, resident slab and RunStats header. rec
+// and reg may be nil (no trace, no metrics); a trace.Nop recorder
+// counts as no recorder. Every run constructor goes through here.
+func newExecutor(net *nn.Network, cfg Config, feat Features, rec trace.Recorder, reg *metrics.Registry) (*executor, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if err := net.Validate(); err != nil {
+		return nil, err
+	}
 	pool, err := sram.NewPool(cfg.Pool)
 	if err != nil {
 		return nil, err
@@ -169,7 +183,24 @@ func newExecutor(cfg Config) (*executor, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &executor{cfg: cfg, pool: pool, ch: ch, rec: &trace.Stamper{R: trace.Nop{}}}
+	n := len(net.Layers)
+	e := &executor{
+		net: net, cfg: cfg, feat: feat, pool: pool, ch: ch,
+		cp:        buildConsumptionPlan(net),
+		residents: make([]*resident, n),
+		slab:      make([]resident, n),
+		wd:        fault.Watchdog{MaxDMAAttempts: cfg.DMAMaxAttempts, MaxLayerCycles: cfg.WatchdogLayerCycles},
+		run: stats.RunStats{
+			Network:  net.Name,
+			Strategy: featureLabel(feat),
+			Batch:    cfg.Batch,
+			ClockMHz: cfg.PE.ClockMHz,
+			Layers:   make([]stats.LayerStats, 0, n),
+		},
+	}
+	if _, nop := rec.(trace.Nop); rec != nil && !nop {
+		e.rec = &trace.Stamper{R: rec}
+	}
 	if cfg.Compression != nil {
 		e.comp = cfg.Compression
 		ch.SetCompressor(cfg.Compression)
@@ -177,8 +208,16 @@ func newExecutor(cfg Config) (*executor, error) {
 	if !cfg.Faults.Empty() {
 		e.inj = fault.NewInjector(cfg.Faults)
 	}
-	e.wd = fault.Watchdog{MaxDMAAttempts: cfg.DMAMaxAttempts, MaxLayerCycles: cfg.WatchdogLayerCycles}
+	e.obs = newObserver(reg)
+	e.obs.attach(e)
 	return e, nil
+}
+
+// place stores r in its producer's slab slot and returns the slot.
+func (e *executor) place(r resident) *resident {
+	slot := &e.slab[r.producer]
+	*slot = r
+	return slot
 }
 
 func (e *executor) bankBytes() int64 { return int64(e.cfg.Pool.BankBytes) }
@@ -196,7 +235,7 @@ func (e *executor) planBudget(l *nn.Layer) tiling.Budget {
 	}
 	free := e.pool.FreeBytes()
 	var inOnChip int64
-	for _, p := range uniqueInts(e.cp.sources[l.Index]) {
+	for _, p := range e.cp.distinct[l.Index] {
 		inOnChip += e.residents[p].onChip
 	}
 	return tiling.Budget{IBuf: inOnChip + free, OBuf: free, WBuf: e.cfg.WeightBufBytes}
@@ -225,14 +264,14 @@ type recyclable struct {
 	keep int
 }
 
-// recyclables returns the operand buffers the layer may consume
-// bank-by-bank while producing its output. For an element-wise add
-// this is procedure P4 proper: every operand making its final pass,
-// released to zero. Under the StreamingRecycle extension a windowed
-// layer may do the same with its input, provided the tiling makes a
-// single monotone pass (no output-channel grouping, which would
-// re-stream the input) and a window-sized margin survives.
-func (e *executor) recyclables(l *nn.Layer, distinct []int, plan tiling.Plan) []recyclable {
+// recyclables appends to out the operand buffers the layer may
+// consume bank-by-bank while producing its output. For an element-wise
+// add this is procedure P4 proper: every operand making its final
+// pass, released to zero. Under the StreamingRecycle extension a
+// windowed layer may do the same with its input, provided the tiling
+// makes a single monotone pass (no output-channel grouping, which
+// would re-stream the input) and a window-sized margin survives.
+func (e *executor) recyclables(out []recyclable, l *nn.Layer, distinct []int, plan tiling.Plan) []recyclable {
 	finalPass := func(p int) *resident {
 		r := e.residents[p]
 		if r.consumersLeft == 1 && r.buf != nil && !r.buf.Freed() && !r.buf.Pinned() {
@@ -242,18 +281,15 @@ func (e *executor) recyclables(l *nn.Layer, distinct []int, plan tiling.Plan) []
 	}
 	switch {
 	case l.Kind == nn.OpEltwiseAdd && e.feat.IncrementalRecycle:
-		var out []recyclable
 		for _, p := range distinct {
 			if r := finalPass(p); r != nil {
 				out = append(out, recyclable{buf: r.buf})
 			}
 		}
-		return out
 	case (l.Kind == nn.OpConv || l.Kind == nn.OpPool) && e.feat.StreamingRecycle:
 		if plan.OutGroups != 1 || plan.InGroups != 1 {
-			return nil
+			return out
 		}
-		var out []recyclable
 		for _, p := range distinct {
 			r := finalPass(p)
 			if r == nil {
@@ -270,9 +306,8 @@ func (e *executor) recyclables(l *nn.Layer, distinct []int, plan tiling.Plan) []
 				out = append(out, recyclable{buf: r.buf, keep: keep})
 			}
 		}
-		return out
 	}
-	return nil
+	return out
 }
 
 // nextUseAfter returns the index of the first layer after i that reads
@@ -280,10 +315,8 @@ func (e *executor) recyclables(l *nn.Layer, distinct []int, plan tiling.Plan) []
 // does.
 func (e *executor) nextUseAfter(p, i int) int {
 	for j := i + 1; j < len(e.net.Layers); j++ {
-		for _, s := range e.cp.sources[j] {
-			if s == p {
-				return j
-			}
+		if slices.Contains(e.cp.distinct[j], p) {
+			return j
 		}
 	}
 	return len(e.net.Layers) + 1
@@ -297,17 +330,7 @@ func (e *executor) nextUseAfter(p, i int) int {
 func (e *executor) evictOneBank(l *nn.Layer, distinct []int, outNext int) (bool, error) {
 	best, bestNext := -1, outNext
 	for p, r := range e.residents {
-		if r == nil || r.buf == nil || r.buf.Freed() || !r.buf.Pinned() {
-			continue
-		}
-		current := false
-		for _, d := range distinct {
-			if d == p {
-				current = true
-				break
-			}
-		}
-		if current {
+		if r == nil || r.buf == nil || r.buf.Freed() || !r.buf.Pinned() || slices.Contains(distinct, p) {
 			continue
 		}
 		if nu := e.nextUseAfter(p, l.Index); nu > bestNext {
@@ -335,8 +358,10 @@ func (e *executor) evictOneBank(l *nn.Layer, distinct []int, outNext int) (bool,
 		if err != nil {
 			return false, err
 		}
-		e.recordSpan(trace.Event{Kind: trace.KindSpill, Layer: l.Name, Class: dram.ClassSpillWrite.String(),
-			Tag: e.net.Layers[best].Name, Bytes: delta, Note: "evict-farthest"}, start, dur)
+		if e.rec != nil {
+			e.recordSpan(trace.Event{Kind: trace.KindSpill, Layer: l.Name, Class: dram.ClassSpillWrite.String(),
+				Tag: e.net.Layers[best].Name, Bytes: delta, Note: "evict-farthest"}, start, dur)
+		}
 	}
 	r.onChip = newOnChip
 	if r.buf.Freed() {
@@ -350,16 +375,22 @@ func (e *executor) evictOneBank(l *nn.Layer, distinct []int, outNext int) (bool,
 	return true, nil
 }
 
-// allocOutput forms the retained output buffer, growing bank by bank
-// and recycling consumed operand banks when the free pool (minus the
-// streaming reserve) runs out — and, under the EvictFarthest policy,
-// spilling colder pinned data. It returns the buffer (nil when nothing
-// could be retained), the retained bytes, and the recycled bank count.
+// allocOutput forms the retained output buffer and recycles consumed
+// operand banks when the free pool (minus the streaming reserve) runs
+// out — and, under the EvictFarthest policy, spills colder pinned data.
+// Each step moves as many banks as it can at once, leaving the pool
+// exactly as growing one bank at a time would: first every free bank
+// above the reserve, then operand banks released to the free list until
+// it is one above the reserve, then operand banks handed straight to
+// the output (MoveBanks; one at a time, each would be pushed and popped
+// again). It returns the buffer (nil when nothing could be retained),
+// the retained bytes, and the recycled bank count.
 func (e *executor) allocOutput(l *nn.Layer, want int64, recycle []recyclable, distinct []int) (*sram.Buffer, int64, int64, error) {
+	bankBytes, reserve := e.bankBytes(), e.cfg.ReserveBanks
 	if !e.feat.PartialRetention {
-		capacity := e.pool.FreeBytes() - int64(e.cfg.ReserveBanks)*e.bankBytes()
+		capacity := e.pool.FreeBytes() - int64(reserve)*bankBytes
 		for _, rb := range recycle {
-			capacity += rb.buf.CapacityBytes() - int64(rb.keep)*e.bankBytes()
+			capacity += rb.buf.CapacityBytes() - int64(rb.keep)*bankBytes
 		}
 		if capacity < want {
 			return nil, 0, 0, nil // all-or-nothing: retain nothing
@@ -371,11 +402,9 @@ func (e *executor) allocOutput(l *nn.Layer, want int64, recycle []recyclable, di
 		recycled int64
 	)
 	for got < want {
-		if e.pool.FreeBanks() > e.cfg.ReserveBanks {
-			chunk := want - got
-			if chunk > e.bankBytes() {
-				chunk = e.bankBytes()
-			}
+		above := e.pool.FreeBanks() - reserve
+		if above > 0 {
+			chunk := min(want-got, int64(above)*bankBytes)
 			if buf == nil {
 				b, err := e.pool.Alloc(sram.RoleOutput, l.Name, chunk)
 				if err != nil {
@@ -388,41 +417,58 @@ func (e *executor) allocOutput(l *nn.Layer, want int64, recycle []recyclable, di
 				if err != nil {
 					return nil, 0, 0, err
 				}
-				if added == 0 {
-					break
-				}
 				got += added
 			}
 			continue
 		}
-		released := false
-		for _, rb := range recycle {
-			if !rb.buf.Freed() && rb.buf.NumBanks() > rb.keep {
-				if err := e.pool.ReleaseBanks(rb.buf, 1); err != nil {
-					return nil, 0, 0, err
-				}
-				recycled++
-				released = true
+		var rb *recyclable
+		for i := range recycle {
+			if r := &recycle[i]; !r.buf.Freed() && r.buf.NumBanks() > r.keep {
+				rb = r
 				break
 			}
 		}
-		if !released && e.cfg.Eviction == EvictFarthest && e.feat.ShortcutRetention {
-			var err error
-			released, err = e.evictOneBank(l, distinct, e.nextUseAfter(l.Index, l.Index))
+		if rb == nil {
+			// No operand left to consume: evict one bank of cold pinned
+			// data, or give up on the rest.
+			if e.cfg.Eviction != EvictFarthest || !e.feat.ShortcutRetention {
+				break
+			}
+			evicted, err := e.evictOneBank(l, distinct, e.nextUseAfter(l.Index, l.Index))
 			if err != nil {
 				return nil, 0, 0, err
 			}
+			if !evicted {
+				break
+			}
+			continue
 		}
-		if !released {
-			break
+		n := rb.buf.NumBanks() - rb.keep
+		if above < 0 || buf == nil {
+			// Refill the free list to one above the reserve; the
+			// next round grows (or allocates) from it.
+			n = min(n, 1-above)
+			if err := e.pool.ReleaseBanks(rb.buf, n); err != nil {
+				return nil, 0, 0, err
+			}
+		} else {
+			n = min(n, e.cfg.Pool.BanksFor(want-got))
+			added, err := e.pool.MoveBanks(rb.buf, buf, n, want-got)
+			if err != nil {
+				return nil, 0, 0, err
+			}
+			got += added
 		}
+		recycled += int64(n)
 	}
-	if recycled > 0 {
-		e.record(trace.Event{Kind: trace.KindRecycle, Layer: l.Name, Banks: int(recycled)})
-	}
-	if buf != nil {
-		e.record(trace.Event{Kind: trace.KindAlloc, Layer: l.Name, Tag: l.Name,
-			Role: sram.RoleOutput.String(), Banks: buf.NumBanks(), Bytes: got})
+	if e.rec != nil {
+		if recycled > 0 {
+			e.record(trace.Event{Kind: trace.KindRecycle, Layer: l.Name, Banks: int(recycled)})
+		}
+		if buf != nil {
+			e.record(trace.Event{Kind: trace.KindAlloc, Layer: l.Name, Tag: l.Name,
+				Role: sram.RoleOutput.String(), Banks: buf.NumBanks(), Bytes: got})
+		}
 	}
 	return buf, got, recycled, nil
 }
@@ -459,8 +505,10 @@ func (e *executor) captureSpilled(l *nn.Layer, p int) error {
 	if err := e.pool.Pin(buf); err != nil {
 		return err
 	}
-	e.record(trace.Event{Kind: trace.KindPin, Layer: l.Name, Tag: buf.Tag(),
-		Banks: buf.NumBanks(), Bytes: want, Note: "capture"})
+	if e.rec != nil {
+		e.record(trace.Event{Kind: trace.KindPin, Layer: l.Name, Tag: buf.Tag(),
+			Banks: buf.NumBanks(), Bytes: want, Note: "capture"})
+	}
 	if e.fn != nil {
 		g := e.fn.golden[p]
 		buf.Payload = g[:want/4]
@@ -469,7 +517,9 @@ func (e *executor) captureSpilled(l *nn.Layer, p int) error {
 }
 
 func (e *executor) execLayer(l *nn.Layer) error {
-	e.record(trace.Event{Kind: trace.KindLayerStart, Layer: l.Name})
+	if e.rec != nil {
+		e.record(trace.Event{Kind: trace.KindLayerStart, Layer: l.Name})
+	}
 	e.curLayer = l.Name
 	if e.memCursor < e.clock {
 		e.memCursor = e.clock
@@ -479,29 +529,28 @@ func (e *executor) execLayer(l *nn.Layer) error {
 	}
 	d := e.cfg.DType
 
-	if l.Kind == nn.OpInput {
-		total := l.Out.Bytes(d)
-		e.residents[0] = &resident{
-			producer: 0, total: total, spilled: total,
-			consumersLeft: e.cp.consumers[0], lastUse: e.cp.lastUse[0],
-		}
-		if e.fn != nil {
-			e.fn.produceInput(e, l)
-		}
-		e.run.Layers = append(e.run.Layers, stats.LayerStats{Name: l.Name, Kind: l.Kind.String(), Stage: l.Stage})
-		e.record(trace.Event{Kind: trace.KindLayerEnd, Layer: l.Name})
-		return nil
-	}
-	if l.Kind == nn.OpConcat {
-		// Transparent: concatenation is bank/address layout; its
-		// sources are consumed directly by the concat's readers.
-		if e.fn != nil {
+	if l.Kind == nn.OpInput || l.Kind == nn.OpConcat {
+		// The input image lives in DRAM. A concat is transparent:
+		// concatenation is bank/address layout; its sources are
+		// consumed directly by the concat's readers.
+		if l.Kind == nn.OpInput {
+			total := l.Out.Bytes(d)
+			e.residents[0] = e.place(resident{
+				producer: 0, total: total, spilled: total,
+				consumersLeft: e.cp.consumers[0], lastUse: e.cp.lastUse[0],
+			})
+			if e.fn != nil {
+				e.fn.produceInput(e, l)
+			}
+		} else if e.fn != nil {
 			if err := e.fn.computeGolden(e, l); err != nil {
 				return err
 			}
 		}
 		e.run.Layers = append(e.run.Layers, stats.LayerStats{Name: l.Name, Kind: l.Kind.String(), Stage: l.Stage})
-		e.record(trace.Event{Kind: trace.KindLayerEnd, Layer: l.Name})
+		if e.rec != nil {
+			e.record(trace.Event{Kind: trace.KindLayerEnd, Layer: l.Name})
+		}
 		return nil
 	}
 
@@ -520,8 +569,7 @@ func (e *executor) execLayer(l *nn.Layer) error {
 		return err
 	}
 
-	srcs := e.cp.sources[l.Index]
-	distinct := uniqueInts(srcs)
+	srcs, distinct := e.cp.sources[l.Index], e.cp.distinct[l.Index]
 
 	// Operands at their final read are unpinned so the add can recycle
 	// their banks and the epilogue can free them.
@@ -531,7 +579,9 @@ func (e *executor) execLayer(l *nn.Layer) error {
 			if err := e.pool.Unpin(r.buf); err != nil {
 				return err
 			}
-			e.record(trace.Event{Kind: trace.KindUnpin, Layer: l.Name, Tag: r.buf.Tag()})
+			if e.rec != nil {
+				e.record(trace.Event{Kind: trace.KindUnpin, Layer: l.Name, Tag: r.buf.Tag()})
+			}
 		}
 	}
 
@@ -578,16 +628,20 @@ func (e *executor) execLayer(l *nn.Layer) error {
 			case dram.ClassSpillRead:
 				e.obs.miss(ProcRoleSwitch)
 			}
-			e.recordSpan(trace.Event{Kind: kind, Layer: l.Name,
-				Tag: e.net.Layers[p].Name, Class: class.String(), Bytes: moved}, start, dur)
+			if e.rec != nil {
+				e.recordSpan(trace.Event{Kind: kind, Layer: l.Name,
+					Tag: e.net.Layers[p].Name, Class: class.String(), Bytes: moved}, start, dur)
+			}
 		}
 		if r.buf != nil && l.Index-p == 1 && r.buf.Role() != sram.RoleInput {
 			if err := e.pool.SetRole(r.buf, sram.RoleInput); err != nil {
 				return err
 			}
 			e.obs.hit(ProcRoleSwitch)
-			e.record(trace.Event{Kind: trace.KindRoleSwitch, Layer: l.Name, Tag: r.buf.Tag(),
-				Role: sram.RoleInput.String()})
+			if e.rec != nil {
+				e.record(trace.Event{Kind: trace.KindRoleSwitch, Layer: l.Name, Tag: r.buf.Tag(),
+					Role: sram.RoleInput.String()})
+			}
 		}
 	}
 
@@ -597,7 +651,7 @@ func (e *executor) execLayer(l *nn.Layer) error {
 	outBytes := l.Out.Bytes(d)
 	consumers := e.cp.consumers[l.Index]
 	lastUse := e.cp.lastUse[l.Index]
-	out := &resident{producer: l.Index, total: outBytes, consumersLeft: consumers, lastUse: lastUse}
+	out := e.place(resident{producer: l.Index, total: outBytes, consumersLeft: consumers, lastUse: lastUse})
 
 	keep := e.feat.RoleSwitch && consumers > 0
 	fullCopy := !keep
@@ -607,8 +661,8 @@ func (e *executor) execLayer(l *nn.Layer) error {
 		fullCopy = true
 	}
 	if keep {
-		recycle := e.recyclables(l, distinct, plan)
-		buf, got, recycled, err := e.allocOutput(l, outBytes, recycle, distinct)
+		e.recycle = e.recyclables(e.recycle[:0], l, distinct, plan)
+		buf, got, recycled, err := e.allocOutput(l, outBytes, e.recycle, distinct)
 		if err != nil {
 			return err
 		}
@@ -635,8 +689,10 @@ func (e *executor) execLayer(l *nn.Layer) error {
 			if err != nil {
 				return err
 			}
-			e.recordSpan(trace.Event{Kind: trace.KindDRAM, Layer: l.Name, Tag: l.Name,
-				Class: dram.ClassOFMWrite.String(), Bytes: outBytes}, start, dur)
+			if e.rec != nil {
+				e.recordSpan(trace.Event{Kind: trace.KindDRAM, Layer: l.Name, Tag: l.Name,
+					Class: dram.ClassOFMWrite.String(), Bytes: outBytes}, start, dur)
+			}
 			out.spilled = outBytes
 		} else if got < outBytes {
 			spill := outBytes - got
@@ -646,16 +702,20 @@ func (e *executor) execLayer(l *nn.Layer) error {
 			}
 			out.spilled = spill
 			ls.SpilledBytes = spill
-			e.recordSpan(trace.Event{Kind: trace.KindSpill, Layer: l.Name, Tag: l.Name, Bytes: spill,
-				Class: dram.ClassSpillWrite.String(), Note: "partial retention"}, start, dur)
+			if e.rec != nil {
+				e.recordSpan(trace.Event{Kind: trace.KindSpill, Layer: l.Name, Tag: l.Name, Bytes: spill,
+					Class: dram.ClassSpillWrite.String(), Note: "partial retention"}, start, dur)
+			}
 		}
 	} else {
 		_, start, dur, err := e.transferSpan(dram.ClassOFMWrite, outBytes)
 		if err != nil {
 			return err
 		}
-		e.recordSpan(trace.Event{Kind: trace.KindDRAM, Layer: l.Name, Tag: l.Name,
-			Class: dram.ClassOFMWrite.String(), Bytes: outBytes}, start, dur)
+		if e.rec != nil {
+			e.recordSpan(trace.Event{Kind: trace.KindDRAM, Layer: l.Name, Tag: l.Name,
+				Class: dram.ClassOFMWrite.String(), Bytes: outBytes}, start, dur)
+		}
 		out.spilled = outBytes
 	}
 
@@ -664,8 +724,10 @@ func (e *executor) execLayer(l *nn.Layer) error {
 			return err
 		}
 		ls.RetainedBytes = out.onChip
-		e.record(trace.Event{Kind: trace.KindPin, Layer: l.Name, Tag: l.Name,
-			Banks: out.buf.NumBanks(), Bytes: out.onChip})
+		if e.rec != nil {
+			e.record(trace.Event{Kind: trace.KindPin, Layer: l.Name, Tag: l.Name,
+				Banks: out.buf.NumBanks(), Bytes: out.onChip})
+		}
 	}
 	if consumers > 0 {
 		e.residents[l.Index] = out
@@ -679,7 +741,7 @@ func (e *executor) execLayer(l *nn.Layer) error {
 		r := e.residents[p]
 		r.consumersLeft--
 		if r.consumersLeft == 0 || !e.feat.ShortcutRetention {
-			if r.buf != nil {
+			if r.buf != nil && e.rec != nil {
 				e.record(trace.Event{Kind: trace.KindFree, Layer: l.Name, Tag: e.net.Layers[p].Name})
 			}
 			if err := r.dropBuffer(e.pool); err != nil {
@@ -735,9 +797,11 @@ func (e *executor) execLayer(l *nn.Layer) error {
 	ls.SRAMBytes = 2 * (inTotal + outBytes + plan.WeightReadBytes)
 	e.run.Layers = append(e.run.Layers, ls)
 	e.obs.layerDone(ls)
-	e.recordSpan(trace.Event{Kind: trace.KindLayerEnd, Layer: l.Name, Bytes: delta.Total(),
-		Banks: e.pool.UsedBanks(), Pinned: e.pool.PinnedBanks(),
-		Note: fmt.Sprintf("pinned=%d", e.pool.PinnedBanks())}, e.clock+ls.Cycles, ls.Cycles)
+	if e.rec != nil {
+		e.recordSpan(trace.Event{Kind: trace.KindLayerEnd, Layer: l.Name, Bytes: delta.Total(),
+			Banks: e.pool.UsedBanks(), Pinned: e.pool.PinnedBanks(),
+			Note: fmt.Sprintf("pinned=%d", e.pool.PinnedBanks())}, e.clock+ls.Cycles, ls.Cycles)
+	}
 	e.clock += ls.Cycles
 	return nil
 }

@@ -7,7 +7,6 @@ import (
 	"shortcutmining/internal/nn"
 	"shortcutmining/internal/sram"
 	"shortcutmining/internal/stats"
-	"shortcutmining/internal/trace"
 )
 
 // SnapshotVersion is the RunSnapshot wire-format version. Decoders
@@ -107,8 +106,7 @@ func (r *Run) Snapshot() (*RunSnapshot, error) {
 		return nil, fmt.Errorf("core: %s: fault-injected runs cannot be snapshotted (injector RNG state is not serializable)", name)
 	case r.e.obs != nil:
 		return nil, fmt.Errorf("core: %s: observed runs cannot be snapshotted (registry state lives outside the run)", name)
-	}
-	if _, nop := r.e.rec.R.(trace.Nop); !nop {
+	case r.e.rec != nil:
 		return nil, fmt.Errorf("core: %s: traced runs cannot be snapshotted (emitted events cannot be rebuilt)", name)
 	}
 	snap := &RunSnapshot{
@@ -225,10 +223,10 @@ func RestoreRun(net *nn.Network, cfg Config, snap *RunSnapshot) (*Run, error) {
 		return nil, fmt.Errorf("core: %s: cannot restore a snapshot under a fault-injecting config", net.Name)
 	}
 	for _, rs := range snap.Residents {
-		r.e.residents[rs.Producer] = &resident{
+		r.e.residents[rs.Producer] = r.e.place(resident{
 			producer: rs.Producer, total: rs.Total, onChip: rs.OnChip, spilled: rs.Spilled,
 			consumersLeft: rs.ConsumersLeft, lastUse: rs.LastUse,
-		}
+		})
 	}
 	for _, sb := range snap.Saved {
 		r.saved = append(r.saved, savedBuffer{

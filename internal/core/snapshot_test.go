@@ -151,6 +151,16 @@ func TestSnapshotRefusals(t *testing.T) {
 			t.Errorf("Snapshot of traced run: err = %v, want refusal", err)
 		}
 	})
+	t.Run("nop recorder is untraced", func(t *testing.T) {
+		r, err := NewRun(net, cfg, SCM, trace.Nop{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustSuspend(t, r)
+		if _, err := r.Snapshot(); err != nil {
+			t.Errorf("Snapshot of a trace.Nop run: %v, want success", err)
+		}
+	})
 	t.Run("observed", func(t *testing.T) {
 		r, err := NewRun(net, cfg, SCM, nil, metrics.New())
 		if err != nil {

@@ -24,7 +24,6 @@ package sram
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // Role describes what a logical buffer currently holds. Roles carry no
@@ -109,11 +108,16 @@ func (c Config) Validate() error {
 // feature map (or a retained prefix of one). Buffers are created and
 // owned by a Pool; the zero value is not usable.
 type Buffer struct {
-	pool   *Pool
-	id     int
-	role   Role
-	tag    string
-	banks  []int
+	pool *Pool
+	id   int
+	role Role
+	tag  string
+	// mem[head:] is the bank list in layout order. Releasing a prefix
+	// (P4) advances head instead of copying the suffix down; mem is
+	// the whole backing array, which the pool hands to a later buffer
+	// once this one is freed.
+	mem    []int
+	head   int
 	bytes  int64 // valid payload bytes, ≤ capacity
 	pinned bool
 	freed  bool
@@ -124,6 +128,9 @@ type Buffer struct {
 	// clearing it on Free.
 	Payload any
 }
+
+// banks is the live bank list, a view into mem.
+func (b *Buffer) banks() []int { return b.mem[b.head:] }
 
 // ID returns the buffer's pool-unique identity.
 func (b *Buffer) ID() int { return b.id }
@@ -137,17 +144,17 @@ func (b *Buffer) Tag() string { return b.tag }
 
 // Banks returns the buffer's bank indices in layout order. The slice
 // is a copy.
-func (b *Buffer) Banks() []int { return append([]int(nil), b.banks...) }
+func (b *Buffer) Banks() []int { return append([]int(nil), b.banks()...) }
 
 // NumBanks returns how many banks the buffer currently occupies.
-func (b *Buffer) NumBanks() int { return len(b.banks) }
+func (b *Buffer) NumBanks() int { return len(b.mem) - b.head }
 
 // Bytes returns the valid payload byte count.
 func (b *Buffer) Bytes() int64 { return b.bytes }
 
 // CapacityBytes returns the total capacity of the buffer's banks.
 func (b *Buffer) CapacityBytes() int64 {
-	return int64(len(b.banks)) * int64(b.pool.cfg.BankBytes)
+	return int64(b.NumBanks()) * int64(b.pool.cfg.BankBytes)
 }
 
 // Pinned reports whether the buffer is pinned.
@@ -159,15 +166,21 @@ func (b *Buffer) Freed() bool { return b.freed }
 // Pool is a physical bank pool. It is not safe for concurrent use; the
 // schedulers are single-threaded per accelerator instance, matching
 // the single control FSM of the hardware.
+//
+// In steady state the pool does not allocate: Buffer structs are carved
+// from a slab (never reused, so a stale *Buffer still reads as freed),
+// and bank lists reuse the backing arrays of freed buffers.
 type Pool struct {
 	cfg       Config
 	owner     []int  // bank -> buffer id, or -1 when free
 	free      []int  // free bank indices, LIFO
 	failed    []bool // bank -> retired from service (fault injection)
 	numFailed int
-	buffers   map[int]*Buffer
-	nextID    int
-	pinned    int // banks owned by pinned buffers, kept incrementally
+	buffers   []*Buffer // indexed by ID (IDs are dense); nil once freed
+	slab      []Buffer  // unused Buffer structs for the next allocations
+	spare     [][]int   // empty bank arrays of freed buffers
+	seen      []int     // CheckInvariants scratch: per-bank claimant
+	pinned    int       // banks owned by pinned buffers, kept incrementally
 	observer  func(usedBanks, pinnedBanks int)
 
 	stats Stats
@@ -180,7 +193,7 @@ type Stats struct {
 	Frees         int64 `json:"Frees"`
 	RoleSwitches  int64 `json:"RoleSwitches"`
 	Pins          int64 `json:"Pins"`
-	BanksRecycled int64 `json:"BanksRecycled"` // banks moved by ReleaseBanks (P4)
+	BanksRecycled int64 `json:"BanksRecycled"` // banks moved by ReleaseBanks / MoveBanks (P4)
 	BanksEvicted  int64 `json:"BanksEvicted"`  // banks moved by ReleaseTailBanks (eviction policies)
 	BanksFailed   int64 `json:"BanksFailed"`   // banks retired from service (fault injection)
 	Relocations   int64 `json:"Relocations"`   // banks whose contents moved to a spare (RelocateBank)
@@ -195,11 +208,10 @@ func NewPool(cfg Config) (*Pool, error) {
 		return nil, err
 	}
 	p := &Pool{
-		cfg:     cfg,
-		owner:   make([]int, cfg.NumBanks),
-		free:    make([]int, cfg.NumBanks),
-		failed:  make([]bool, cfg.NumBanks),
-		buffers: make(map[int]*Buffer),
+		cfg:    cfg,
+		owner:  make([]int, cfg.NumBanks),
+		free:   make([]int, cfg.NumBanks),
+		failed: make([]bool, cfg.NumBanks),
 	}
 	for i := range p.owner {
 		p.owner[i] = -1
@@ -245,7 +257,7 @@ func (p *Pool) FreeBytes() int64 { return int64(len(p.free)) * int64(p.cfg.BankB
 // PinnedBanks returns the number of banks owned by pinned buffers.
 // The count is maintained incrementally (Pin/Unpin/Grow) so the
 // observer hook can sample it on every pool mutation without an O(n)
-// scan; CheckInvariants verifies it against the buffer map.
+// scan; CheckInvariants verifies it against the live buffers.
 func (p *Pool) PinnedBanks() int { return p.pinned }
 
 // Stats returns a copy of the accumulated telemetry.
@@ -261,23 +273,69 @@ func (p *Pool) RestoreStats(s Stats) { p.stats = s }
 // Buffers returns the live buffers sorted by ID (deterministic; used
 // by traces and invariant checks).
 func (p *Pool) Buffers() []*Buffer {
-	out := make([]*Buffer, 0, len(p.buffers))
-	// scmvet:ok determinism collected set is sorted by ID before it is returned
+	var out []*Buffer
 	for _, b := range p.buffers {
-		out = append(out, b)
+		if b != nil {
+			out = append(out, b)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
 	return out
 }
 
-func (p *Pool) grab(n int) []int {
-	banks := make([]int, n)
-	for i := 0; i < n; i++ {
-		bank := p.free[len(p.free)-1]
-		p.free = p.free[:len(p.free)-1]
-		banks[i] = bank
+// newBuffer registers an empty buffer under the next ID, reusing a
+// freed buffer's bank array when one is available.
+func (p *Pool) newBuffer(role Role, tag string) *Buffer {
+	if len(p.slab) == 0 {
+		// Geometric slabs: a short run allocates a few structs, a long
+		// one amortizes to one allocation per 256 buffers.
+		p.slab = make([]Buffer, min(max(len(p.buffers), 8), 256))
 	}
-	return banks
+	b := &p.slab[0]
+	p.slab = p.slab[1:]
+	*b = Buffer{pool: p, id: len(p.buffers), role: role, tag: tag}
+	if n := len(p.spare); n > 0 {
+		b.mem = p.spare[n-1]
+		p.spare = p.spare[:n-1]
+	} else {
+		// A bank list never outgrows the pool, so one full-size array
+		// serves every later owner.
+		b.mem = make([]int, 0, p.cfg.NumBanks)
+	}
+	p.buffers = append(p.buffers, b)
+	return b
+}
+
+// retire unregisters an emptied buffer and keeps its bank array for
+// reuse. Callers account Frees themselves.
+func (p *Pool) retire(b *Buffer) {
+	p.spare = append(p.spare, b.mem[:0])
+	p.buffers[b.id] = nil
+	b.mem, b.head = nil, 0
+	b.bytes = 0
+	b.freed = true
+	b.Payload = nil
+}
+
+// take pops n banks off the free list onto b's tail — most recently
+// freed first, exactly as n single-bank pops would order them.
+func (p *Pool) take(b *Buffer, n int) {
+	top := len(p.free)
+	for i := top - 1; i >= top-n; i-- {
+		p.owner[p.free[i]] = b.id
+		b.mem = append(b.mem, p.free[i])
+	}
+	p.free = p.free[:top-n]
+	if b.pinned {
+		p.pinned += n
+	}
+}
+
+// give pushes banks onto the free list in layout order.
+func (p *Pool) give(banks []int) {
+	for _, bank := range banks {
+		p.owner[bank] = -1
+	}
+	p.free = append(p.free, banks...)
 }
 
 // SetObserver installs a callback fired whenever occupancy may have
@@ -312,12 +370,9 @@ func (p *Pool) Alloc(role Role, tag string, bytes int64) (*Buffer, error) {
 	if need > len(p.free) {
 		return nil, fmt.Errorf("%w: need %d banks for %q, have %d", ErrInsufficient, need, tag, len(p.free))
 	}
-	b := &Buffer{pool: p, id: p.nextID, role: role, tag: tag, banks: p.grab(need), bytes: bytes}
-	p.nextID++
-	for _, bank := range b.banks {
-		p.owner[bank] = b.id
-	}
-	p.buffers[b.id] = b
+	b := p.newBuffer(role, tag)
+	p.take(b, need)
+	b.bytes = bytes
 	p.stats.Allocs++
 	p.noteUsage()
 	return b, nil
@@ -345,12 +400,9 @@ func (p *Pool) AllocUpTo(role Role, tag string, bytes int64) (*Buffer, int64) {
 	if got > bytes {
 		got = bytes
 	}
-	b := &Buffer{pool: p, id: p.nextID, role: role, tag: tag, banks: p.grab(n), bytes: got}
-	p.nextID++
-	for _, bank := range b.banks {
-		p.owner[bank] = b.id
-	}
-	p.buffers[b.id] = b
+	b := p.newBuffer(role, tag)
+	p.take(b, n)
+	b.bytes = got
 	p.stats.Allocs++
 	if partial {
 		p.stats.PartialAllocs++
@@ -403,7 +455,7 @@ func (p *Pool) RelocateBank(b *Buffer, bank int) error {
 		return fmt.Errorf("%w: no spare bank to relocate bank %d of %q", ErrInsufficient, bank, b.tag)
 	}
 	pos := -1
-	for i, own := range b.banks {
+	for i, own := range b.banks() {
 		if own == bank {
 			pos = i
 			break
@@ -412,8 +464,10 @@ func (p *Pool) RelocateBank(b *Buffer, bank int) error {
 	if pos < 0 {
 		return fmt.Errorf("sram: bank %d not owned by %q", bank, b.tag)
 	}
-	spare := p.grab(1)[0]
-	b.banks[pos] = spare
+	top := len(p.free) - 1
+	spare := p.free[top]
+	p.free = p.free[:top]
+	b.banks()[pos] = spare
 	p.owner[spare] = b.id
 	p.owner[bank] = -1
 	p.failed[bank] = true
@@ -435,15 +489,8 @@ func (p *Pool) Free(b *Buffer) error {
 	if b.pinned {
 		return fmt.Errorf("%w: cannot free %q", ErrPinned, b.tag)
 	}
-	for _, bank := range b.banks {
-		p.owner[bank] = -1
-		p.free = append(p.free, bank)
-	}
-	b.banks = nil
-	b.bytes = 0
-	b.freed = true
-	b.Payload = nil
-	delete(p.buffers, b.id)
+	p.give(b.banks())
+	p.retire(b)
 	p.stats.Frees++
 	p.noteUsage()
 	return nil
@@ -480,7 +527,7 @@ func (p *Pool) Pin(b *Buffer) error {
 	}
 	if !b.pinned {
 		b.pinned = true
-		p.pinned += len(b.banks)
+		p.pinned += b.NumBanks()
 		p.stats.Pins++
 		p.noteUsage()
 	}
@@ -494,10 +541,40 @@ func (p *Pool) Unpin(b *Buffer) error {
 	}
 	if b.pinned {
 		b.pinned = false
-		p.pinned -= len(b.banks)
+		p.pinned -= b.NumBanks()
 		p.noteUsage()
 	}
 	return nil
+}
+
+// releasable validates a prefix or tail release of n banks.
+func (p *Pool) releasable(b *Buffer, n int, what string) error {
+	if b.freed {
+		return fmt.Errorf("%w: %q", ErrReleased, b.tag)
+	}
+	if b.pinned {
+		return fmt.Errorf("%w: cannot release banks of %q", ErrPinned, b.tag)
+	}
+	if n < 0 || n > b.NumBanks() {
+		return fmt.Errorf("sram: release %d of %d %s of %q", n, b.NumBanks(), what, b.tag)
+	}
+	return nil
+}
+
+// dropHead removes the first n banks from b's layout, shrinking the
+// payload by the removed capacity; an emptied buffer is freed.
+func (p *Pool) dropHead(b *Buffer, n int) {
+	b.head += n
+	if released := int64(n) * int64(p.cfg.BankBytes); b.bytes > released {
+		b.bytes -= released
+	} else {
+		b.bytes = 0
+	}
+	p.stats.BanksRecycled += int64(n)
+	if b.NumBanks() == 0 {
+		p.retire(b)
+		p.stats.Frees++
+	}
 }
 
 // ReleaseBanks returns the first n banks of the buffer to the pool —
@@ -507,34 +584,49 @@ func (p *Pool) Unpin(b *Buffer) error {
 // shrinks by the released capacity. Releasing every bank frees the
 // buffer.
 func (p *Pool) ReleaseBanks(b *Buffer, n int) error {
-	if b.freed {
-		return fmt.Errorf("%w: %q", ErrReleased, b.tag)
+	if err := p.releasable(b, n, "banks"); err != nil {
+		return err
 	}
-	if b.pinned {
-		return fmt.Errorf("%w: cannot release banks of %q", ErrPinned, b.tag)
-	}
-	if n < 0 || n > len(b.banks) {
-		return fmt.Errorf("sram: release %d of %d banks of %q", n, len(b.banks), b.tag)
-	}
-	for _, bank := range b.banks[:n] {
-		p.owner[bank] = -1
-		p.free = append(p.free, bank)
-	}
-	b.banks = append([]int(nil), b.banks[n:]...)
-	released := int64(n) * int64(p.cfg.BankBytes)
-	if b.bytes > released {
-		b.bytes -= released
-	} else {
-		b.bytes = 0
-	}
-	p.stats.BanksRecycled += int64(n)
-	if len(b.banks) == 0 {
-		b.freed = true
-		b.Payload = nil
-		delete(p.buffers, b.id)
-		p.stats.Frees++
-	}
+	p.give(b.banks()[:n])
+	p.dropHead(b, n)
 	return nil
+}
+
+// MoveBanks hands the first n banks of src to the tail of dst — the
+// bulk form of P4 recycling when the free pool sits at the streaming
+// reserve. It leaves exactly the state of n rounds of ReleaseBanks(src,
+// 1) followed by a one-bank Grow of dst, each pop taking the bank just
+// released: the free list is untouched, src shrinks (and is freed when
+// emptied) and dst's payload grows by min(bytes, n banks). dst must
+// have no spare capacity, as a buffer still growing toward its size
+// does not. It returns the payload bytes added.
+func (p *Pool) MoveBanks(src, dst *Buffer, n int, bytes int64) (int64, error) {
+	if err := p.releasable(src, n, "banks"); err != nil {
+		return 0, err
+	}
+	switch {
+	case dst.freed:
+		return 0, fmt.Errorf("%w: %q", ErrReleased, dst.tag)
+	case dst == src:
+		return 0, fmt.Errorf("sram: move of %q onto itself", dst.tag)
+	case dst.bytes != dst.CapacityBytes():
+		return 0, fmt.Errorf("sram: move into %q with spare capacity", dst.tag)
+	}
+	if n == 0 || bytes <= 0 {
+		return 0, nil
+	}
+	for _, bank := range src.banks()[:n] {
+		p.owner[bank] = dst.id
+	}
+	dst.mem = append(dst.mem, src.banks()[:n]...)
+	if dst.pinned {
+		p.pinned += n
+	}
+	added := min(bytes, int64(n)*int64(p.cfg.BankBytes))
+	dst.bytes += added
+	p.dropHead(src, n)
+	p.noteUsage()
+	return added, nil
 }
 
 // ReleaseTailBanks returns the LAST n banks of the buffer to the pool,
@@ -542,29 +634,18 @@ func (p *Pool) ReleaseBanks(b *Buffer, n int) error {
 // retained feature map shrinks from its tail, whose bytes the caller
 // spills to DRAM. Releasing every bank frees the buffer.
 func (p *Pool) ReleaseTailBanks(b *Buffer, n int) error {
-	if b.freed {
-		return fmt.Errorf("%w: %q", ErrReleased, b.tag)
+	if err := p.releasable(b, n, "tail banks"); err != nil {
+		return err
 	}
-	if b.pinned {
-		return fmt.Errorf("%w: cannot release banks of %q", ErrPinned, b.tag)
-	}
-	if n < 0 || n > len(b.banks) {
-		return fmt.Errorf("sram: release %d of %d tail banks of %q", n, len(b.banks), b.tag)
-	}
-	keep := len(b.banks) - n
-	for _, bank := range b.banks[keep:] {
-		p.owner[bank] = -1
-		p.free = append(p.free, bank)
-	}
-	b.banks = append([]int(nil), b.banks[:keep]...)
+	keep := len(b.mem) - n
+	p.give(b.mem[keep:])
+	b.mem = b.mem[:keep]
 	if c := b.CapacityBytes(); b.bytes > c {
 		b.bytes = c
 	}
 	p.stats.BanksEvicted += int64(n)
-	if len(b.banks) == 0 {
-		b.freed = true
-		b.Payload = nil
-		delete(p.buffers, b.id)
+	if b.NumBanks() == 0 {
+		p.retire(b)
 		p.stats.Frees++
 	}
 	return nil
@@ -582,31 +663,14 @@ func (p *Pool) Grow(b *Buffer, bytes int64) (int64, error) {
 	if bytes <= 0 {
 		return 0, nil
 	}
-	added := int64(0)
 	// Spare capacity in already-owned banks absorbs payload first.
-	if spare := b.CapacityBytes() - b.bytes; spare > 0 {
-		if spare > bytes {
-			spare = bytes
-		}
-		b.bytes += spare
-		added += spare
-		bytes -= spare
+	added := min(b.CapacityBytes()-b.bytes, bytes)
+	bytes -= added
+	if n := min(p.cfg.BanksFor(bytes), len(p.free)); n > 0 {
+		p.take(b, n)
+		added += min(bytes, int64(n)*int64(p.cfg.BankBytes))
 	}
-	for bytes > 0 && len(p.free) > 0 {
-		bank := p.grab(1)[0]
-		p.owner[bank] = b.id
-		b.banks = append(b.banks, bank)
-		if b.pinned {
-			p.pinned++
-		}
-		chunk := int64(p.cfg.BankBytes)
-		if chunk > bytes {
-			chunk = bytes
-		}
-		b.bytes += chunk
-		added += chunk
-		bytes -= chunk
-	}
+	b.bytes += added
 	p.noteUsage()
 	return added, nil
 }
@@ -631,21 +695,15 @@ func (p *Pool) Merge(role Role, tag string, bufs ...*Buffer) (*Buffer, error) {
 			return nil, fmt.Errorf("%w: merge source %q", ErrPinned, b.tag)
 		}
 	}
-	m := &Buffer{pool: p, id: p.nextID, role: role, tag: tag}
-	p.nextID++
+	m := p.newBuffer(role, tag)
 	for _, b := range bufs {
-		m.banks = append(m.banks, b.banks...)
+		m.mem = append(m.mem, b.banks()...)
 		m.bytes += b.bytes
-		for _, bank := range b.banks {
+		for _, bank := range b.banks() {
 			p.owner[bank] = m.id
 		}
-		b.banks = nil
-		b.bytes = 0
-		b.freed = true
-		b.Payload = nil
-		delete(p.buffers, b.id)
+		p.retire(b)
 	}
-	p.buffers[m.id] = m
 	p.stats.Allocs++
 	p.noteUsage()
 	return m, nil
@@ -654,17 +712,33 @@ func (p *Pool) Merge(role Role, tag string, bufs ...*Buffer) (*Buffer, error) {
 // CheckInvariants verifies bank conservation: every bank is either on
 // the free list, owned by exactly one live buffer, or retired from
 // service; free-list entries are unique; retired banks are never owned
-// or free; and every buffer's payload fits its banks.
+// or free; and every buffer's payload fits its banks. It allocates
+// only when it reports a violation.
 func (p *Pool) CheckInvariants() error {
-	seen := make(map[int]string, p.cfg.NumBanks)
+	// seen[bank] is 0 while unclaimed, onFreeList for a free-list
+	// entry, and 1+id once buffer id claims it.
+	const onFreeList = -1
+	if p.seen == nil {
+		p.seen = make([]int, p.cfg.NumBanks)
+	}
+	seen := p.seen
+	clear(seen)
+	claimant := func(bank int) string {
+		if seen[bank] == onFreeList {
+			return "free list"
+		}
+		return fmt.Sprintf("buffer %q", p.buffers[seen[bank]-1].tag)
+	}
+	claimed := 0
 	for _, bank := range p.free {
 		if bank < 0 || bank >= p.cfg.NumBanks {
 			return fmt.Errorf("sram: free list has out-of-range bank %d", bank)
 		}
-		if who, dup := seen[bank]; dup {
-			return fmt.Errorf("sram: bank %d on free list and %s", bank, who)
+		if seen[bank] != 0 {
+			return fmt.Errorf("sram: bank %d on free list and %s", bank, claimant(bank))
 		}
-		seen[bank] = "free list"
+		seen[bank] = onFreeList
+		claimed++
 		if p.owner[bank] != -1 {
 			return fmt.Errorf("sram: free bank %d has owner %d", bank, p.owner[bank])
 		}
@@ -672,22 +746,26 @@ func (p *Pool) CheckInvariants() error {
 			return fmt.Errorf("sram: retired bank %d on free list", bank)
 		}
 	}
-	// scmvet:ok determinism invariant scan; only the first error of an already-corrupt pool can vary
+	pinned := 0
 	for id, b := range p.buffers {
+		if b == nil {
+			continue
+		}
 		if b.freed {
 			return fmt.Errorf("sram: freed buffer %q still registered", b.tag)
 		}
 		if b.id != id {
 			return fmt.Errorf("sram: buffer id mismatch %d vs %d", b.id, id)
 		}
-		for _, bank := range b.banks {
+		for _, bank := range b.banks() {
 			if bank < 0 || bank >= p.cfg.NumBanks {
 				return fmt.Errorf("sram: buffer %q has out-of-range bank %d", b.tag, bank)
 			}
-			if who, dup := seen[bank]; dup {
-				return fmt.Errorf("sram: bank %d owned by %q and %s", bank, b.tag, who)
+			if seen[bank] != 0 {
+				return fmt.Errorf("sram: bank %d owned by %q and %s", bank, b.tag, claimant(bank))
 			}
-			seen[bank] = fmt.Sprintf("buffer %q", b.tag)
+			seen[bank] = 1 + b.id
+			claimed++
 			if p.owner[bank] != b.id {
 				return fmt.Errorf("sram: bank %d owner map says %d, buffer is %d", bank, p.owner[bank], b.id)
 			}
@@ -701,6 +779,9 @@ func (p *Pool) CheckInvariants() error {
 		if b.bytes < 0 {
 			return fmt.Errorf("sram: buffer %q negative payload", b.tag)
 		}
+		if b.pinned {
+			pinned += b.NumBanks()
+		}
 	}
 	failed := 0
 	for _, f := range p.failed {
@@ -711,15 +792,8 @@ func (p *Pool) CheckInvariants() error {
 	if failed != p.numFailed {
 		return fmt.Errorf("sram: failed-bank count %d, marks say %d", p.numFailed, failed)
 	}
-	if len(seen)+failed != p.cfg.NumBanks {
-		return fmt.Errorf("sram: %d banks accounted for (+%d retired), pool has %d", len(seen), failed, p.cfg.NumBanks)
-	}
-	pinned := 0
-	// scmvet:ok determinism order-independent sum
-	for _, b := range p.buffers {
-		if b.pinned {
-			pinned += len(b.banks)
-		}
+	if claimed+failed != p.cfg.NumBanks {
+		return fmt.Errorf("sram: %d banks accounted for (+%d retired), pool has %d", claimed, failed, p.cfg.NumBanks)
 	}
 	if pinned != p.pinned {
 		return fmt.Errorf("sram: pinned-bank count %d, buffers say %d", p.pinned, pinned)
