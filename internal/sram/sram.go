@@ -599,7 +599,8 @@ func (p *Pool) ReleaseBanks(b *Buffer, n int) error {
 // released: the free list is untouched, src shrinks (and is freed when
 // emptied) and dst's payload grows by min(bytes, n banks). dst must
 // have no spare capacity, as a buffer still growing toward its size
-// does not. It returns the payload bytes added.
+// does not, and bytes must need all n banks. It returns the payload
+// bytes added.
 func (p *Pool) MoveBanks(src, dst *Buffer, n int, bytes int64) (int64, error) {
 	if err := p.releasable(src, n, "banks"); err != nil {
 		return 0, err
@@ -611,8 +612,10 @@ func (p *Pool) MoveBanks(src, dst *Buffer, n int, bytes int64) (int64, error) {
 		return 0, fmt.Errorf("sram: move of %q onto itself", dst.tag)
 	case dst.bytes != dst.CapacityBytes():
 		return 0, fmt.Errorf("sram: move into %q with spare capacity", dst.tag)
+	case n > p.cfg.BanksFor(bytes):
+		return 0, fmt.Errorf("sram: move of %d banks for %d bytes into %q", n, bytes, dst.tag)
 	}
-	if n == 0 || bytes <= 0 {
+	if n == 0 {
 		return 0, nil
 	}
 	for _, bank := range src.banks()[:n] {

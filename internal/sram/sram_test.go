@@ -356,6 +356,42 @@ func TestReleaseBanksClampsPayload(t *testing.T) {
 	}
 }
 
+// TestMoveBanksRefusals: MoveBanks is only the bulk form of
+// release-one/grow-one rounds when dst is full and every moved bank is
+// needed; anything else is an error that leaves the pool untouched.
+func TestMoveBanksRefusals(t *testing.T) {
+	p := newTestPool(t, 8, 1024)
+	src, _ := p.Alloc(RoleInput, "src", 3*1024)
+	dst, _ := p.Alloc(RoleOutput, "dst", 1024)
+	partial, _ := p.Alloc(RoleOutput, "partial", 100)
+	pinned, _ := p.Alloc(RoleRetained, "pinned", 1024)
+	if err := p.Pin(pinned); err != nil {
+		t.Fatal(err)
+	}
+	before := p.Stats()
+	for _, c := range []struct {
+		name     string
+		src, dst *Buffer
+		n        int
+		bytes    int64
+	}{
+		{"dst has spare capacity", src, partial, 1, 1024},
+		{"more banks than bytes need", src, dst, 2, 1024},
+		{"more banks than src holds", src, dst, 4, 4 * 1024},
+		{"pinned src", pinned, dst, 1, 1024},
+		{"onto itself", dst, dst, 1, 1024},
+	} {
+		if _, err := p.MoveBanks(c.src, c.dst, c.n, c.bytes); err == nil {
+			t.Errorf("%s: accepted", c.name)
+		}
+	}
+	if p.Stats() != before || src.NumBanks() != 3 || dst.NumBanks() != 1 {
+		t.Errorf("refused moves changed the pool: stats %+v, src %d banks, dst %d banks",
+			p.Stats(), src.NumBanks(), dst.NumBanks())
+	}
+	mustCheck(t, p)
+}
+
 func TestRecycledBanksImmediatelyReusable(t *testing.T) {
 	// The P4 scenario: the pool is full, the add consumes shortcut
 	// banks and allocates output banks from the recycled space.
