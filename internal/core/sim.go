@@ -618,10 +618,6 @@ func (e *executor) execLayer(l *nn.Layer) error {
 			if err != nil {
 				return err
 			}
-			kind := trace.KindDRAM
-			if class == dram.ClassSpillRead || class == dram.ClassShortcutRead {
-				kind = trace.KindRefill
-			}
 			switch class {
 			case dram.ClassShortcutRead:
 				e.obs.miss(ProcRetention)
@@ -629,6 +625,10 @@ func (e *executor) execLayer(l *nn.Layer) error {
 				e.obs.miss(ProcRoleSwitch)
 			}
 			if e.rec != nil {
+				kind := trace.KindDRAM
+				if class == dram.ClassSpillRead || class == dram.ClassShortcutRead {
+					kind = trace.KindRefill
+				}
 				e.recordSpan(trace.Event{Kind: kind, Layer: l.Name,
 					Tag: e.net.Layers[p].Name, Class: class.String(), Bytes: moved}, start, dur)
 			}
