@@ -22,10 +22,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
+
+	"shortcutmining/internal/clause"
 )
 
 // ErrInjected is the root of every synthetic I/O failure, so callers
@@ -102,25 +102,29 @@ func (s *Spec) String() string {
 	if s == nil {
 		return ""
 	}
-	parts := []string{fmt.Sprintf("seed=%d", s.Seed)}
+	var w clause.Writer
+	w.Set("seed", s.Seed)
 	if s.JournalIOProb > 0 {
-		parts = append(parts, fmt.Sprintf("journal-io:p=%g", s.JournalIOProb))
+		w.Clause("journal-io").Param("p", s.JournalIOProb)
 	}
 	if s.SlowDiskMS > 0 {
-		parts = append(parts, fmt.Sprintf("slow-disk:ms=%d", s.SlowDiskMS))
+		w.Clause("slow-disk").Param("ms", s.SlowDiskMS)
 	}
 	if s.StallProb > 0 {
-		parts = append(parts, fmt.Sprintf("stall:p=%g,ms=%d", s.StallProb, s.StallMS))
+		w.Clause("stall").Param("p", s.StallProb).Param("ms", s.StallMS)
 	}
 	for _, c := range s.Crashes {
-		parts = append(parts, fmt.Sprintf("crash@%s:n=%d", c.Site, c.N))
+		w.Clause("crash").At(c.Site).Param("n", c.N)
 	}
-	return strings.Join(parts, ";")
+	return w.String()
 }
 
+var grammar = clause.Grammar{Name: "chaos", Params: clause.Strict, LastWins: true}
+
 // ParseSpec reads the compact chaos grammar used by the -chaos CLI
-// flag: semicolon-separated clauses, each a fault kind with optional
-// ":key=value" parameters (the same shape as the -faults grammar).
+// flag (see internal/clause): semicolon-separated clauses, each a
+// fault kind with optional ":key=value" parameters (the same shape as
+// the -faults grammar).
 //
 //	seed=42                 RNG seed (default 1)
 //	journal-io:p=0.1        each journal write/fsync fails with p=0.1
@@ -133,109 +137,36 @@ func (s *Spec) String() string {
 // never a panic.
 func ParseSpec(s string) (*Spec, error) {
 	spec := &Spec{Seed: 1}
-	for _, clause := range strings.Split(s, ";") {
-		clause = strings.TrimSpace(clause)
-		if clause == "" {
-			continue
+	err := grammar.Parse(s, func(c *clause.Clause) error {
+		if c.Key == "seed" {
+			return c.Int64("seed", &spec.Seed)
 		}
-		if v, ok := strings.CutPrefix(clause, "seed="); ok {
-			seed, err := strconv.ParseInt(v, 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("chaos: bad seed %q: %v", v, err)
-			}
-			spec.Seed = seed
-			continue
-		}
-		head, params, _ := strings.Cut(clause, ":")
-		name, site, hasSite := strings.Cut(head, "@")
-		kv, err := parseParams(params)
-		if err != nil {
-			return nil, fmt.Errorf("chaos: %q: %v", clause, err)
-		}
-		switch name {
+		switch c.Name {
 		case "journal-io":
-			p, err := probParam(kv, "p", clause)
-			if err != nil {
-				return nil, err
-			}
-			spec.JournalIOProb = p
+			return errors.Join(c.Need("p"), c.Float("p", &spec.JournalIOProb))
 		case "slow-disk":
-			ms, err := msParam(kv, "ms", clause)
-			if err != nil {
-				return nil, err
-			}
-			spec.SlowDiskMS = ms
+			return errors.Join(c.Need("ms"), c.Int("ms", &spec.SlowDiskMS))
 		case "stall":
-			p, err := probParam(kv, "p", clause)
-			if err != nil {
-				return nil, err
-			}
-			ms, err := msParam(kv, "ms", clause)
-			if err != nil {
-				return nil, err
-			}
-			spec.StallProb = p
-			spec.StallMS = ms
+			return errors.Join(c.Need("p"), c.Need("ms"), c.Float("p", &spec.StallProb), c.Int("ms", &spec.StallMS))
 		case "crash":
-			if !hasSite || site == "" {
-				return nil, fmt.Errorf("chaos: %q needs a site: crash@<site>:n=<k>", clause)
+			site, ok := c.At()
+			if !ok || site == "" {
+				return c.Errorf("needs a site: crash@<site>:n=<k>")
 			}
-			n := 1
-			if v, ok := kv["n"]; ok {
-				n, err = strconv.Atoi(v)
-				if err != nil {
-					return nil, fmt.Errorf("chaos: %q: bad count %q: %v", clause, v, err)
-				}
-			}
-			spec.Crashes = append(spec.Crashes, CrashPoint{Site: site, N: n})
-		default:
-			return nil, fmt.Errorf("chaos: unknown clause %q (want seed=, journal-io, slow-disk, stall, crash@<site>)", clause)
+			cp := CrashPoint{Site: site, N: 1}
+			err := c.Int("n", &cp.N)
+			spec.Crashes = append(spec.Crashes, cp)
+			return err
 		}
+		return c.Errorf("unknown clause (want seed=, journal-io, slow-disk, stall, crash@<site>)")
+	})
+	if err != nil {
+		return nil, err
 	}
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	return spec, nil
-}
-
-func probParam(kv map[string]string, key, clause string) (float64, error) {
-	v, ok := kv[key]
-	if !ok {
-		return 0, fmt.Errorf("chaos: %q needs %s=<prob>", clause, key)
-	}
-	p, err := strconv.ParseFloat(v, 64)
-	if err != nil {
-		return 0, fmt.Errorf("chaos: %q: bad probability %q: %v", clause, v, err)
-	}
-	return p, nil
-}
-
-func msParam(kv map[string]string, key, clause string) (int, error) {
-	v, ok := kv[key]
-	if !ok {
-		return 0, fmt.Errorf("chaos: %q needs %s=<millis>", clause, key)
-	}
-	ms, err := strconv.Atoi(v)
-	if err != nil {
-		return 0, fmt.Errorf("chaos: %q: bad duration %q: %v", clause, v, err)
-	}
-	return ms, nil
-}
-
-// parseParams splits "k=v,k=v".
-func parseParams(s string) (map[string]string, error) {
-	kv := make(map[string]string)
-	if s == "" {
-		return kv, nil
-	}
-	for _, part := range strings.Split(s, ",") {
-		k, v, ok := strings.Cut(part, "=")
-		if !ok || strings.TrimSpace(k) == "" {
-			return nil, fmt.Errorf("bad parameter %q (want key=value)", part)
-		}
-		kv[strings.TrimSpace(k)] = strings.TrimSpace(v)
-	}
-	return kv, nil
 }
 
 // Counts tallies what the injector actually did, for tests and the

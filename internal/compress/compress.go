@@ -24,10 +24,11 @@
 package compress
 
 import (
+	"errors"
 	"fmt"
-	"strconv"
 	"strings"
 
+	"shortcutmining/internal/clause"
 	"shortcutmining/internal/dram"
 )
 
@@ -213,8 +214,8 @@ func (c *Config) RatioFor(cl dram.Class, logical int64) float64 {
 }
 
 // classTokens lists the grammar tokens for the classes= key in grammar
-// order; classToken walks it so rendered specs (which become cache keys
-// and checkpoint fields) never depend on map iteration order.
+// order; both lookups walk it, so rendered specs (which become cache
+// keys and checkpoint fields) never depend on map iteration order.
 var classTokens = []struct {
 	tok string
 	cl  dram.Class
@@ -227,16 +228,8 @@ var classTokens = []struct {
 	{"interchip", dram.ClassInterchip},
 }
 
-// classNames maps grammar tokens to classes for the classes= key.
-var classNames = func() map[string]dram.Class {
-	m := make(map[string]dram.Class, len(classTokens))
-	for _, e := range classTokens {
-		m[e.tok] = e.cl
-	}
-	return m
-}()
-
-// classToken inverts classNames (classes are validated first).
+// classToken is the grammar token of a class (classes are validated
+// first).
 func classToken(cl dram.Class) string {
 	for _, e := range classTokens {
 		if e.cl == cl {
@@ -244,6 +237,16 @@ func classToken(cl dram.Class) string {
 		}
 	}
 	return cl.String()
+}
+
+// classByToken is the class a grammar token names.
+func classByToken(tok string) (dram.Class, bool) {
+	for _, e := range classTokens {
+		if e.tok == tok {
+			return e.cl, true
+		}
+	}
+	return 0, false
 }
 
 // ParseSpec parses the compact codec grammar used by CLI flags and the
@@ -273,47 +276,37 @@ func ParseSpec(s string) (*Config, error) {
 	if s == "" {
 		return nil, fmt.Errorf("compress: empty spec")
 	}
-	head, rest, hasParams := strings.Cut(s, ":")
-	cfg := &Config{}
-	switch Codec(strings.TrimSpace(head)) {
-	case CodecFixed:
-		cfg.Codec = CodecFixed
-	case CodecZVC:
-		cfg.Codec = CodecZVC
-	default:
-		return nil, fmt.Errorf("compress: unknown codec %q in %q (want fixed or zvc)", head, s)
+	c, err := grammar.ParseOne(s)
+	if err != nil {
+		return nil, err
 	}
-	if hasParams {
-		if strings.TrimSpace(rest) == "" {
-			return nil, fmt.Errorf("compress: trailing ':' with no parameters in %q", s)
-		}
-		for _, kv := range strings.Split(rest, ",") {
-			key, val, ok := strings.Cut(kv, "=")
-			if !ok {
-				return nil, fmt.Errorf("compress: parameter %q is not key=value in %q", kv, s)
-			}
-			key, val = strings.TrimSpace(key), strings.TrimSpace(val)
-			var err error
-			switch key {
-			case "ratio":
-				cfg.Ratio, err = strconv.ParseFloat(val, 64)
-			case "sparsity":
-				cfg.Sparsity, err = strconv.ParseFloat(val, 64)
-			case "elem":
-				cfg.ElemBytes, err = strconv.Atoi(val)
-			case "enc":
-				cfg.EncodeCyclesPerKiB, err = strconv.ParseInt(val, 10, 64)
-			case "dec":
-				cfg.DecodeCyclesPerKiB, err = strconv.ParseInt(val, 10, 64)
-			case "classes":
-				cfg.Classes, err = parseClasses(val)
-			default:
-				return nil, fmt.Errorf("compress: unknown key %q in %q", key, s)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("compress: bad value for %s in %q: %v", key, s, err)
-			}
-		}
+	cfg := &Config{Codec: Codec(strings.TrimSpace(c.Name))}
+	if cfg.Codec != CodecFixed && cfg.Codec != CodecZVC {
+		return nil, c.Errorf("unknown codec %q (want fixed or zvc)", c.Name)
+	}
+	if c.EmptyParams() {
+		return nil, c.Errorf("trailing ':' with no parameters")
+	}
+	if err := errors.Join(
+		c.Float("ratio", &cfg.Ratio),
+		c.Float("sparsity", &cfg.Sparsity),
+		c.Int("elem", &cfg.ElemBytes),
+		c.Int64("enc", &cfg.EncodeCyclesPerKiB),
+		c.Int64("dec", &cfg.DecodeCyclesPerKiB),
+		c.Func("classes", func(v string) error {
+			cfg.Classes = cfg.Classes[:0]
+			return clause.Each(v, "+", func(tok string) error {
+				cl, ok := classByToken(tok)
+				if !ok {
+					return fmt.Errorf("unknown class token %q", tok)
+				}
+				cfg.Classes = append(cfg.Classes, cl)
+				return nil
+			})
+		}),
+		c.Unread(),
+	); err != nil {
+		return nil, err
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -321,21 +314,8 @@ func ParseSpec(s string) (*Config, error) {
 	return cfg, nil
 }
 
-// parseClasses decodes the classes= token list.
-func parseClasses(val string) ([]dram.Class, error) {
-	if val == "" {
-		return nil, fmt.Errorf("empty class list")
-	}
-	var out []dram.Class
-	for _, tok := range strings.Split(val, "+") {
-		cl, ok := classNames[strings.TrimSpace(tok)]
-		if !ok {
-			return nil, fmt.Errorf("unknown class token %q", tok)
-		}
-		out = append(out, cl)
-	}
-	return out, nil
-}
+// grammar is the codec dialect: every param is key=value.
+var grammar = clause.Grammar{Name: "compress", Params: clause.Strict}
 
 // String renders the config back into the ParseSpec grammar, with keys
 // in a fixed order so the output is deterministic and re-parseable.
@@ -343,34 +323,17 @@ func (c *Config) String() string {
 	if c == nil {
 		return ""
 	}
-	var sb strings.Builder
-	sb.WriteString(string(c.Codec))
-	var params []string
-	if c.Codec == CodecFixed && c.Ratio != 0 {
-		params = append(params, fmt.Sprintf("ratio=%g", c.Ratio))
+	toks := make([]string, len(c.Classes))
+	for i, cl := range c.Classes {
+		toks[i] = classToken(cl)
 	}
-	if c.Codec == CodecZVC && c.Sparsity != 0 {
-		params = append(params, fmt.Sprintf("sparsity=%g", c.Sparsity))
-	}
-	if c.ElemBytes != 0 {
-		params = append(params, fmt.Sprintf("elem=%d", c.ElemBytes))
-	}
-	if c.EncodeCyclesPerKiB != 0 {
-		params = append(params, fmt.Sprintf("enc=%d", c.EncodeCyclesPerKiB))
-	}
-	if c.DecodeCyclesPerKiB != 0 {
-		params = append(params, fmt.Sprintf("dec=%d", c.DecodeCyclesPerKiB))
-	}
-	if len(c.Classes) > 0 {
-		toks := make([]string, len(c.Classes))
-		for i, cl := range c.Classes {
-			toks[i] = classToken(cl)
-		}
-		params = append(params, "classes="+strings.Join(toks, "+"))
-	}
-	if len(params) > 0 {
-		sb.WriteString(":")
-		sb.WriteString(strings.Join(params, ","))
-	}
-	return sb.String()
+	var w clause.Writer
+	w.Clause(string(c.Codec)).
+		ParamIf(c.Codec == CodecFixed && c.Ratio != 0, "ratio", c.Ratio).
+		ParamIf(c.Codec == CodecZVC && c.Sparsity != 0, "sparsity", c.Sparsity).
+		ParamIf(c.ElemBytes != 0, "elem", c.ElemBytes).
+		ParamIf(c.EncodeCyclesPerKiB != 0, "enc", c.EncodeCyclesPerKiB).
+		ParamIf(c.DecodeCyclesPerKiB != 0, "dec", c.DecodeCyclesPerKiB).
+		ParamIf(len(toks) > 0, "classes", strings.Join(toks, "+"))
+	return w.String()
 }

@@ -31,10 +31,12 @@
 package fault
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
-	"strings"
+
+	"shortcutmining/internal/clause"
 )
 
 // Kind enumerates the injectable fault classes.
@@ -158,36 +160,30 @@ func (s *Spec) String() string {
 	if s == nil {
 		return ""
 	}
-	parts := []string{fmt.Sprintf("seed=%d", s.Seed)}
+	var w clause.Writer
+	w.Set("seed", s.Seed)
 	if s.DropProb > 0 {
-		parts = append(parts, fmt.Sprintf("dma-drop:p=%g", s.DropProb))
+		w.Clause("dma-drop").Param("p", s.DropProb)
 	}
 	for _, e := range s.Events {
 		switch e.Kind {
 		case BankFail, BankTransient:
-			name := "bank-fail"
-			if e.Kind == BankTransient {
-				name = "bank-transient"
-			}
-			if len(e.Banks) > 0 {
-				strs := make([]string, len(e.Banks))
-				for i, b := range e.Banks {
-					strs[i] = strconv.Itoa(b)
-				}
-				parts = append(parts, fmt.Sprintf("%s@%d:bank=%s", name, e.Layer, strings.Join(strs, ",")))
-			} else {
-				parts = append(parts, fmt.Sprintf("%s@%d:n=%d", name, e.Layer, e.Count))
-			}
+			w.Clause(e.Kind.String()).At(e.Layer).
+				ParamIf(len(e.Banks) > 0, "bank", e.Banks).ParamIf(len(e.Banks) == 0, "n", e.Count)
 		case BandwidthDegrade:
-			parts = append(parts, fmt.Sprintf("bw-degrade@%d:factor=%g", e.Layer, e.Factor))
+			w.Clause("bw-degrade").At(e.Layer).Param("factor", e.Factor)
 		}
 	}
-	return strings.Join(parts, ";")
+	return w.String()
 }
 
+// grammar is the -faults dialect: "bank=7,9" is one comma list.
+var grammar = clause.Grammar{Name: "fault", Params: clause.Lists, LastWins: true}
+
 // ParseSpec reads the compact fault grammar used by the -faults CLI
-// flag: semicolon-separated clauses, each a fault kind with an
-// optional "@layer" trigger and ":key=value" parameters.
+// flag (see internal/clause): semicolon-separated clauses, each a
+// fault kind with an optional "@layer" trigger and ":key=value"
+// parameters.
 //
 //	seed=42                         RNG seed (default 1)
 //	bank-fail@4:n=3                 retire 3 random banks when layer 4 starts
@@ -201,112 +197,50 @@ func (s *Spec) String() string {
 // never a panic.
 func ParseSpec(s string) (*Spec, error) {
 	spec := &Spec{Seed: 1}
-	for _, clause := range strings.Split(s, ";") {
-		clause = strings.TrimSpace(clause)
-		if clause == "" {
-			continue
+	err := grammar.Parse(s, func(c *clause.Clause) error {
+		if c.Key == "seed" {
+			return c.Int64("seed", &spec.Seed)
 		}
-		if v, ok := strings.CutPrefix(clause, "seed="); ok {
-			seed, err := strconv.ParseInt(v, 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("fault: bad seed %q: %v", v, err)
-			}
-			spec.Seed = seed
-			continue
-		}
-		head, params, _ := strings.Cut(clause, ":")
-		name, layerStr, hasLayer := strings.Cut(head, "@")
 		layer := 0
-		if hasLayer {
-			var err error
-			layer, err = strconv.Atoi(layerStr)
-			if err != nil {
-				return nil, fmt.Errorf("fault: bad trigger layer %q in %q: %v", layerStr, clause, err)
-			}
+		if err := c.AtInt(&layer); err != nil {
+			return err
 		}
-		kv, err := parseParams(params)
-		if err != nil {
-			return nil, fmt.Errorf("fault: %q: %v", clause, err)
-		}
-		switch name {
+		switch c.Name {
 		case "bank-fail", "bank-transient":
-			kind := BankFail
-			if name == "bank-transient" {
-				kind = BankTransient
+			ev := Event{Kind: BankFail, Layer: layer, Count: 1}
+			if c.Name == "bank-transient" {
+				ev.Kind = BankTransient
 			}
-			ev := Event{Kind: kind, Layer: layer, Count: 1}
-			if v, ok := kv["n"]; ok {
-				n, err := strconv.Atoi(v)
-				if err != nil {
-					return nil, fmt.Errorf("fault: %q: bad count %q: %v", clause, v, err)
-				}
-				ev.Count = n
-			}
-			if v, ok := kv["bank"]; ok {
-				for _, b := range strings.Split(v, ",") {
-					id, err := strconv.Atoi(strings.TrimSpace(b))
-					if err != nil {
-						return nil, fmt.Errorf("fault: %q: bad bank %q: %v", clause, b, err)
-					}
-					ev.Banks = append(ev.Banks, id)
-				}
-				ev.Count = 0
-			}
+			err := errors.Join(
+				c.Int("n", &ev.Count),
+				c.Func("bank", func(v string) error {
+					ev.Banks, ev.Count = ev.Banks[:0], 0
+					return clause.Each(v, ",", func(b string) error {
+						id, err := strconv.Atoi(b)
+						ev.Banks = append(ev.Banks, id)
+						return err
+					})
+				}),
+			)
 			spec.Events = append(spec.Events, ev)
+			return err
 		case "dma-drop":
-			v, ok := kv["p"]
-			if !ok {
-				return nil, fmt.Errorf("fault: %q needs p=<prob>", clause)
-			}
-			p, err := strconv.ParseFloat(v, 64)
-			if err != nil {
-				return nil, fmt.Errorf("fault: %q: bad probability %q: %v", clause, v, err)
-			}
-			spec.DropProb = p
+			return errors.Join(c.Need("p"), c.Float("p", &spec.DropProb))
 		case "bw-degrade":
-			v, ok := kv["factor"]
-			if !ok {
-				return nil, fmt.Errorf("fault: %q needs factor=<0..1>", clause)
-			}
-			f, err := strconv.ParseFloat(v, 64)
-			if err != nil {
-				return nil, fmt.Errorf("fault: %q: bad factor %q: %v", clause, v, err)
-			}
-			spec.Events = append(spec.Events, Event{Kind: BandwidthDegrade, Layer: layer, Factor: f})
-		default:
-			return nil, fmt.Errorf("fault: unknown clause %q (want seed=, bank-fail, bank-transient, dma-drop, bw-degrade)", clause)
+			ev := Event{Kind: BandwidthDegrade, Layer: layer}
+			err := errors.Join(c.Need("factor"), c.Float("factor", &ev.Factor))
+			spec.Events = append(spec.Events, ev)
+			return err
 		}
+		return c.Errorf("unknown clause (want seed=, bank-fail, bank-transient, dma-drop, bw-degrade)")
+	})
+	if err != nil {
+		return nil, err
 	}
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	return spec, nil
-}
-
-// parseParams splits "k=v,k=v" (bank=7,9 keeps the comma list as the
-// value of the last key).
-func parseParams(s string) (map[string]string, error) {
-	kv := make(map[string]string)
-	if s == "" {
-		return kv, nil
-	}
-	key := ""
-	for _, part := range strings.Split(s, ",") {
-		if k, v, ok := strings.Cut(part, "="); ok {
-			key = strings.TrimSpace(k)
-			if key == "" {
-				return nil, fmt.Errorf("empty parameter name in %q", s)
-			}
-			kv[key] = strings.TrimSpace(v)
-		} else {
-			// Continuation of a comma-separated value (bank lists).
-			if key == "" {
-				return nil, fmt.Errorf("parameter %q has no key", part)
-			}
-			kv[key] += "," + strings.TrimSpace(part)
-		}
-	}
-	return kv, nil
 }
 
 // UniformBankFailures builds the standard E22 plan: n bank failures

@@ -17,10 +17,10 @@
 package sched
 
 import (
+	"errors"
 	"fmt"
-	"strconv"
-	"strings"
 
+	"shortcutmining/internal/clause"
 	"shortcutmining/internal/compress"
 	"shortcutmining/internal/core"
 	"shortcutmining/internal/noc"
@@ -224,62 +224,38 @@ func (s *Spec) String() string {
 	if s == nil {
 		return ""
 	}
-	parts := []string{fmt.Sprintf("seed=%d", s.Seed), fmt.Sprintf("policy=%s", s.Policy)}
-	if s.QuantumLayers > 0 {
-		parts = append(parts, fmt.Sprintf("quantum=%d", s.QuantumLayers))
-	}
-	if s.MaxResident > 0 {
-		parts = append(parts, fmt.Sprintf("maxresident=%d", s.MaxResident))
-	}
-	if s.Compress != nil {
-		parts = append(parts, fmt.Sprintf("compress=%s", s.Compress.String()))
-	}
+	var w clause.Writer
+	w.Set("seed", s.Seed).Set("policy", s.Policy).
+		SetIf(s.QuantumLayers > 0, "quantum", s.QuantumLayers).
+		SetIf(s.MaxResident > 0, "maxresident", s.MaxResident).
+		SetIf(s.Compress != nil, "compress", s.Compress)
 	if s.Chips > 1 {
-		parts = append(parts, fmt.Sprintf("chips=%d", s.Chips))
-		if s.Topology != "" {
-			parts = append(parts, fmt.Sprintf("topo=%s", s.Topology))
-		}
-		if s.Placement != "" {
-			parts = append(parts, fmt.Sprintf("place=%s", s.Placement))
-		}
-		if s.LinkGBps > 0 {
-			parts = append(parts, fmt.Sprintf("linkgbps=%s", strconv.FormatFloat(s.LinkGBps, 'g', -1, 64)))
-		}
-		if s.HopLatency > 0 {
-			parts = append(parts, fmt.Sprintf("hoplat=%d", s.HopLatency))
-		}
+		w.Set("chips", s.Chips).
+			SetIf(s.Topology != "", "topo", s.Topology).
+			SetIf(s.Placement != "", "place", s.Placement).
+			SetIf(s.LinkGBps > 0, "linkgbps", s.LinkGBps).
+			SetIf(s.HopLatency > 0, "hoplat", s.HopLatency)
 	}
 	for _, st := range s.Streams {
-		var kv []string
-		kv = append(kv, fmt.Sprintf("n=%d", st.Requests))
-		if st.GapCycles > 0 {
-			kv = append(kv, fmt.Sprintf("gap=%d", st.GapCycles))
-		}
-		if st.StartCycles > 0 {
-			kv = append(kv, fmt.Sprintf("start=%d", st.StartCycles))
-		}
-		if st.Poisson {
-			kv = append(kv, "poisson")
-		}
-		if st.Priority != 0 {
-			kv = append(kv, fmt.Sprintf("prio=%d", st.Priority))
-		}
-		if st.Strategy != core.SCM {
-			kv = append(kv, fmt.Sprintf("strategy=%s", st.Strategy))
-		}
-		if st.MinBanks > 0 {
-			kv = append(kv, fmt.Sprintf("banks=%d", st.MinBanks))
-		}
-		if st.Name != "" {
-			kv = append(kv, fmt.Sprintf("name=%s", st.Name))
-		}
-		parts = append(parts, fmt.Sprintf("stream=%s:%s", st.Network, strings.Join(kv, ",")))
+		w.Set("stream", st.Network).Param("n", st.Requests).
+			ParamIf(st.GapCycles > 0, "gap", st.GapCycles).
+			ParamIf(st.StartCycles > 0, "start", st.StartCycles).
+			ParamIf(st.Poisson, "poisson", nil).
+			ParamIf(st.Priority != 0, "prio", st.Priority).
+			ParamIf(st.Strategy != core.SCM, "strategy", st.Strategy).
+			ParamIf(st.MinBanks > 0, "banks", st.MinBanks).
+			ParamIf(st.Name != "", "name", st.Name)
 	}
-	return strings.Join(parts, ";")
+	return w.String()
 }
 
+// grammar is the scheduling dialect: stream params take bare flags
+// ("poisson") and are read exactly as written.
+var grammar = clause.Grammar{Name: "sched", Params: clause.Flags}
+
 // ParseSpec reads the compact scheduling grammar used by the -spec CLI
-// flag and the /v1/schedule endpoint: semicolon-separated clauses.
+// flag and the /v1/schedule endpoint (see internal/clause):
+// semicolon-separated key=value clauses.
 //
 //	seed=42                      RNG seed (default 1)
 //	policy=rr                    fcfs | rr | prio (default fcfs)
@@ -300,77 +276,45 @@ func (s *Spec) String() string {
 // never a panic.
 func ParseSpec(s string) (*Spec, error) {
 	spec := &Spec{Seed: 1}
-	for _, clause := range strings.Split(s, ";") {
-		clause = strings.TrimSpace(clause)
-		if clause == "" {
-			continue
-		}
-		key, val, hasEq := strings.Cut(clause, "=")
-		if !hasEq {
-			return nil, fmt.Errorf("sched: clause %q is not key=value", clause)
-		}
-		switch key {
+	err := grammar.Parse(s, func(c *clause.Clause) error {
+		switch k := c.Key; k {
 		case "seed":
-			seed, err := strconv.ParseInt(val, 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("sched: bad seed %q: %v", val, err)
-			}
-			spec.Seed = seed
+			return c.Int64(k, &spec.Seed)
 		case "policy":
-			p, err := ParsePolicy(val)
-			if err != nil {
-				return nil, err
-			}
+			p, err := ParsePolicy(c.Value)
 			spec.Policy = p
+			return err
 		case "quantum":
-			q, err := strconv.Atoi(val)
-			if err != nil {
-				return nil, fmt.Errorf("sched: bad quantum %q: %v", val, err)
-			}
-			spec.QuantumLayers = q
+			return c.Int(k, &spec.QuantumLayers)
 		case "maxresident":
-			m, err := strconv.Atoi(val)
-			if err != nil {
-				return nil, fmt.Errorf("sched: bad maxresident %q: %v", val, err)
-			}
-			spec.MaxResident = m
+			return c.Int(k, &spec.MaxResident)
 		case "compress":
-			cc, err := compress.ParseSpec(val)
-			if err != nil {
-				return nil, err
-			}
+			cc, err := compress.ParseSpec(c.Value)
 			spec.Compress = cc
+			return err
 		case "chips":
-			c, err := strconv.Atoi(val)
-			if err != nil {
-				return nil, fmt.Errorf("sched: bad chips %q: %v", val, err)
-			}
-			spec.Chips = c
+			return c.Int(k, &spec.Chips)
 		case "topo":
-			spec.Topology = val
+			spec.Topology = c.Value
 		case "place":
-			spec.Placement = val
+			spec.Placement = c.Value
 		case "linkgbps":
-			g, err := strconv.ParseFloat(val, 64)
-			if err != nil {
-				return nil, fmt.Errorf("sched: bad linkgbps %q: %v", val, err)
-			}
-			spec.LinkGBps = g
+			return c.Float(k, &spec.LinkGBps)
 		case "hoplat":
-			h, err := strconv.ParseInt(val, 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("sched: bad hoplat %q: %v", val, err)
-			}
-			spec.HopLatency = h
+			return c.Int64(k, &spec.HopLatency)
 		case "stream":
-			st, err := parseStream(val)
-			if err != nil {
-				return nil, fmt.Errorf("sched: %q: %v", clause, err)
-			}
+			st, err := parseStream(c.Value)
 			spec.Streams = append(spec.Streams, st)
+			return err
+		case "":
+			return c.Errorf("clause is not key=value")
 		default:
-			return nil, fmt.Errorf("sched: unknown clause %q (want seed=, policy=, quantum=, maxresident=, compress=, chips=, topo=, place=, linkgbps=, hoplat=, stream=)", clause)
+			return c.Errorf("unknown clause (want seed=, policy=, quantum=, maxresident=, compress=, chips=, topo=, place=, linkgbps=, hoplat=, stream=)")
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -378,53 +322,29 @@ func ParseSpec(s string) (*Spec, error) {
 	return spec, nil
 }
 
-// parseStream reads "network:k=v,k=v,flag" stream descriptions.
+// parseStream reads a "network:k=v,k=v,flag" stream clause.
 func parseStream(s string) (StreamSpec, error) {
-	network, params, _ := strings.Cut(s, ":")
-	if network == "" {
-		return StreamSpec{}, fmt.Errorf("stream has no network")
+	c, err := grammar.ParseOne(s)
+	if err != nil {
+		return StreamSpec{}, err
 	}
-	st := StreamSpec{Network: network, Strategy: core.SCM, Requests: 1}
-	if params == "" {
-		return st, nil
+	st := StreamSpec{Network: c.Name, Strategy: core.SCM, Requests: 1, Poisson: c.Flag("poisson")}
+	if at, ok := c.At(); ok {
+		st.Network += "@" + at
 	}
-	for _, part := range strings.Split(params, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		k, v, hasEq := strings.Cut(part, "=")
-		if !hasEq {
-			if k == "poisson" {
-				st.Poisson = true
-				continue
-			}
-			return StreamSpec{}, fmt.Errorf("unknown flag %q", k)
-		}
-		var err error
-		switch k {
-		case "n":
-			st.Requests, err = strconv.Atoi(v)
-		case "gap":
-			st.GapCycles, err = strconv.ParseInt(v, 10, 64)
-		case "start":
-			st.StartCycles, err = strconv.ParseInt(v, 10, 64)
-		case "prio":
-			st.Priority, err = strconv.Atoi(v)
-		case "banks":
-			st.MinBanks, err = strconv.Atoi(v)
-		case "strategy":
-			st.Strategy, err = core.ParseStrategy(v)
-		case "name":
-			st.Name = v
-		default:
-			return StreamSpec{}, fmt.Errorf("unknown parameter %q", k)
-		}
-		if err != nil {
-			return StreamSpec{}, fmt.Errorf("bad %s %q: %v", k, v, err)
-		}
+	if st.Network == "" {
+		return st, c.Errorf("stream has no network")
 	}
-	return st, nil
+	return st, errors.Join(
+		c.Int("n", &st.Requests),
+		c.Int64("gap", &st.GapCycles),
+		c.Int64("start", &st.StartCycles),
+		c.Int("prio", &st.Priority),
+		c.Int("banks", &st.MinBanks),
+		c.Func("strategy", func(v string) (err error) { st.Strategy, err = core.ParseStrategy(v); return err }),
+		c.Str("name", &st.Name),
+		c.Unread(),
+	)
 }
 
 // streamNames returns the display name of every stream, deduplicated
