@@ -119,7 +119,7 @@ func (s *Spec) String() string {
 	return w.String()
 }
 
-var grammar = clause.Grammar{Name: "chaos", Params: clause.Strict, LastWins: true}
+var grammar = clause.Grammar{Name: "chaos", Params: clause.Strict}
 
 // ParseSpec reads the compact chaos grammar used by the -chaos CLI
 // flag (see internal/clause): semicolon-separated clauses, each a
@@ -141,24 +141,29 @@ func ParseSpec(s string) (*Spec, error) {
 		if c.Key == "seed" {
 			return c.Int64("seed", &spec.Seed)
 		}
+		var err error
 		switch c.Name {
 		case "journal-io":
-			return errors.Join(c.Need("p"), c.Float("p", &spec.JournalIOProb))
+			err = errors.Join(c.Need("p"), c.Float("p", &spec.JournalIOProb))
 		case "slow-disk":
-			return errors.Join(c.Need("ms"), c.Int("ms", &spec.SlowDiskMS))
+			err = errors.Join(c.Need("ms"), c.Int("ms", &spec.SlowDiskMS))
 		case "stall":
-			return errors.Join(c.Need("p"), c.Need("ms"), c.Float("p", &spec.StallProb), c.Int("ms", &spec.StallMS))
+			err = errors.Join(c.Need("p"), c.Need("ms"), c.Float("p", &spec.StallProb), c.Int("ms", &spec.StallMS))
 		case "crash":
 			site, ok := c.At()
 			if !ok || site == "" {
 				return c.Errorf("needs a site: crash@<site>:n=<k>")
 			}
 			cp := CrashPoint{Site: site, N: 1}
-			err := c.Int("n", &cp.N)
+			err = c.Int("n", &cp.N)
 			spec.Crashes = append(spec.Crashes, cp)
+		default:
+			return c.Errorf("unknown clause (want seed=, journal-io, slow-disk, stall, crash@<site>)")
+		}
+		if err != nil {
 			return err
 		}
-		return c.Errorf("unknown clause (want seed=, journal-io, slow-disk, stall, crash@<site>)")
+		return c.Unread()
 	})
 	if err != nil {
 		return nil, err

@@ -40,9 +40,6 @@ const (
 type Grammar struct {
 	Name   string
 	Params Dialect
-	// LastWins reads only the last value of a repeated key; earlier
-	// values are dropped unparsed.
-	LastWins bool
 }
 
 // Parse calls fn on each clause of spec in order, stopping at the
@@ -164,16 +161,11 @@ func (c *Clause) AtInt(dst *int) error {
 // Func calls set on each value of key in order, so the last value of
 // a repeated key wins and every value must parse.
 func (c *Clause) Func(key string, set func(v string) error) error {
-	last := -1
 	for i, p := range c.params {
-		if !p.flag && p.key == key {
-			c.params[i].read, last = true, i
-		}
-	}
-	for i, p := range c.params {
-		if p.flag || p.key != key || c.g.LastWins && i != last {
+		if p.flag || p.key != key {
 			continue
 		}
+		c.params[i].read = true
 		if err := set(p.val); err != nil {
 			return c.Errorf("bad %s %q: %v", key, p.val, numErr(err))
 		}

@@ -178,7 +178,7 @@ func (s *Spec) String() string {
 }
 
 // grammar is the -faults dialect: "bank=7,9" is one comma list.
-var grammar = clause.Grammar{Name: "fault", Params: clause.Lists, LastWins: true}
+var grammar = clause.Grammar{Name: "fault", Params: clause.Lists}
 
 // ParseSpec reads the compact fault grammar used by the -faults CLI
 // flag (see internal/clause): semicolon-separated clauses, each a
@@ -201,17 +201,15 @@ func ParseSpec(s string) (*Spec, error) {
 		if c.Key == "seed" {
 			return c.Int64("seed", &spec.Seed)
 		}
-		layer := 0
-		if err := c.AtInt(&layer); err != nil {
-			return err
-		}
+		var err error
 		switch c.Name {
 		case "bank-fail", "bank-transient":
-			ev := Event{Kind: BankFail, Layer: layer, Count: 1}
+			ev := Event{Kind: BankFail, Count: 1}
 			if c.Name == "bank-transient" {
 				ev.Kind = BankTransient
 			}
-			err := errors.Join(
+			err = errors.Join(
+				c.AtInt(&ev.Layer),
 				c.Int("n", &ev.Count),
 				c.Func("bank", func(v string) error {
 					ev.Banks, ev.Count = ev.Banks[:0], 0
@@ -223,16 +221,19 @@ func ParseSpec(s string) (*Spec, error) {
 				}),
 			)
 			spec.Events = append(spec.Events, ev)
-			return err
 		case "dma-drop":
-			return errors.Join(c.Need("p"), c.Float("p", &spec.DropProb))
+			err = errors.Join(c.Need("p"), c.Float("p", &spec.DropProb))
 		case "bw-degrade":
-			ev := Event{Kind: BandwidthDegrade, Layer: layer}
-			err := errors.Join(c.Need("factor"), c.Float("factor", &ev.Factor))
+			ev := Event{Kind: BandwidthDegrade}
+			err = errors.Join(c.AtInt(&ev.Layer), c.Need("factor"), c.Float("factor", &ev.Factor))
 			spec.Events = append(spec.Events, ev)
+		default:
+			return c.Errorf("unknown clause (want seed=, bank-fail, bank-transient, dma-drop, bw-degrade)")
+		}
+		if err != nil {
 			return err
 		}
-		return c.Errorf("unknown clause (want seed=, bank-fail, bank-transient, dma-drop, bw-degrade)")
+		return c.Unread()
 	})
 	if err != nil {
 		return nil, err

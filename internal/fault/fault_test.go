@@ -81,6 +81,10 @@ func TestParseSpecErrors(t *testing.T) {
 		"bw-degrade@3:factor=2",
 		"bank-fail@2:=5",
 		"bank-fail@2:1,2",
+		"bank-fail@4:count=3",           // unknown key
+		"dma-drop@5:p=0.1",              // dma-drop takes no trigger
+		"bank-fail@4:n=x,n=3",           // every value of a repeated key must parse
+		"bw-degrade@3:factor=0.5,y=1,2", // unknown key with a list value
 	}
 	for _, s := range bad {
 		if _, err := ParseSpec(s); err == nil {

@@ -329,9 +329,6 @@ func parseStream(s string) (StreamSpec, error) {
 		return StreamSpec{}, err
 	}
 	st := StreamSpec{Network: c.Name, Strategy: core.SCM, Requests: 1, Poisson: c.Flag("poisson")}
-	if at, ok := c.At(); ok {
-		st.Network += "@" + at
-	}
 	if st.Network == "" {
 		return st, c.Errorf("stream has no network")
 	}
