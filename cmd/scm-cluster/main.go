@@ -92,7 +92,7 @@ func runOffline(specStr, config string, asJSON, asCSV, requests, links bool, tra
 	if err != nil {
 		return err
 	}
-	cfg, err := loadConfig(config)
+	cfg, err := shortcutmining.LoadConfig(config)
 	if err != nil {
 		return err
 	}
@@ -205,18 +205,6 @@ func runServe(addr string, shards, workers int, drainTO time.Duration) error {
 		logger.Error("drain forced cancellations", "error", err)
 	}
 	return nil
-}
-
-func loadConfig(path string) (shortcutmining.Config, error) {
-	if path == "" {
-		return shortcutmining.DefaultConfig(), nil
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return shortcutmining.Config{}, err
-	}
-	defer f.Close()
-	return shortcutmining.DecodeConfigJSON(f)
 }
 
 func fatal(err error) {

@@ -45,7 +45,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	cfg, err := loadConfig(*config)
+	cfg, err := shortcutmining.LoadConfig(*config)
 	if err != nil {
 		fatal(err)
 	}
@@ -90,18 +90,6 @@ func main() {
 		}
 		w.Flush()
 	}
-}
-
-func loadConfig(path string) (shortcutmining.Config, error) {
-	if path == "" {
-		return shortcutmining.DefaultConfig(), nil
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return shortcutmining.Config{}, err
-	}
-	defer f.Close()
-	return shortcutmining.DecodeConfigJSON(f)
 }
 
 func fatal(err error) {

@@ -54,7 +54,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	cfg, err := loadConfig(*config)
+	cfg, err := shortcutmining.LoadConfig(*config)
 	if err != nil {
 		fatal(err)
 	}
@@ -195,19 +195,6 @@ func loadNetwork(name, graph string) (*shortcutmining.Network, error) {
 	}
 	defer f.Close()
 	return shortcutmining.DecodeNetworkJSON(f)
-}
-
-// loadConfig resolves the -config flag.
-func loadConfig(path string) (shortcutmining.Config, error) {
-	if path == "" {
-		return shortcutmining.DefaultConfig(), nil
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return shortcutmining.Config{}, err
-	}
-	defer f.Close()
-	return shortcutmining.DecodeConfigJSON(f)
 }
 
 func fatal(err error) {

@@ -155,6 +155,7 @@ func DefaultConfig() Config {
 			"internal/dram", "internal/tiling", "internal/fused",
 			"internal/dse", "internal/report", "internal/stats",
 			"internal/metrics", "internal/noc", "internal/cluster",
+			"internal/clause",
 		},
 		DeterminismExemptPkgs: []string{"internal/bench"},
 		NoPanicExemptPkgs:     []string{"internal/metrics"},

@@ -17,6 +17,8 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+
+	"shortcutmining/internal/metrics"
 )
 
 // SchemaVersion identifies the Report JSON layout. Consumers must
@@ -226,22 +228,6 @@ func (r *Report) WriteText(w io.Writer) error {
 	return err
 }
 
-// quantile returns the nearest-rank q-quantile of sorted samples
-// (the same convention internal/sched and internal/metrics use).
-func quantile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(q*float64(len(sorted))+0.999999) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
-}
-
 // summarize reduces raw millisecond samples to a Latency.
 func summarize(ms []float64) Latency {
 	if len(ms) == 0 {
@@ -254,9 +240,9 @@ func summarize(ms []float64) Latency {
 		sum += v
 	}
 	return Latency{
-		P50:  quantile(s, 0.50),
-		P95:  quantile(s, 0.95),
-		P99:  quantile(s, 0.99),
+		P50:  metrics.NearestRank(s, 0.50),
+		P95:  metrics.NearestRank(s, 0.95),
+		P99:  metrics.NearestRank(s, 0.99),
 		Mean: sum / float64(len(s)),
 		Max:  s[len(s)-1],
 	}

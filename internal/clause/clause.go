@@ -14,7 +14,6 @@
 package clause
 
 import (
-	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -82,7 +81,6 @@ type Clause struct {
 	g             Grammar
 	at            string
 	hasAt, atRead bool
-	colon         bool // a ':' opened a param list, possibly empty
 	params        []param
 	buf           [8]param
 }
@@ -95,9 +93,8 @@ func (c *Clause) parse(g Grammar, text string, top bool) error {
 		c.params = append(c.params, param{key: c.Key, val: c.Value})
 		return nil
 	}
-	head, list, colon := strings.Cut(text, ":")
+	head, list, _ := strings.Cut(text, ":")
 	c.Name, c.at, c.hasAt = strings.Cut(head, "@")
-	c.colon = colon
 	valStart := 0 // where the last Lists value starts in list
 	for start := 0; list != "" && start <= len(list); {
 		end := strings.IndexByte(list[start:], ',') + start
@@ -137,9 +134,6 @@ func (c *Clause) Errorf(format string, args ...any) error {
 	return fmt.Errorf("%s: %q: %s", c.g.Name, c.Text, fmt.Sprintf(format, args...))
 }
 
-// EmptyParams reports a ':' with no params after it.
-func (c *Clause) EmptyParams() bool { return c.colon && len(c.params) == 0 }
-
 // At returns the @ trigger and whether there is one, and marks it read.
 func (c *Clause) At() (string, bool) {
 	c.atRead = true
@@ -151,7 +145,7 @@ func (c *Clause) AtInt(dst *int) error {
 	if at, ok := c.At(); ok {
 		n, err := strconv.Atoi(at)
 		if err != nil {
-			return c.Errorf("bad trigger %q: %v", at, numErr(err))
+			return c.Errorf("bad trigger: %v", err)
 		}
 		*dst = n
 	}
@@ -167,7 +161,7 @@ func (c *Clause) Func(key string, set func(v string) error) error {
 		}
 		c.params[i].read = true
 		if err := set(p.val); err != nil {
-			return c.Errorf("bad %s %q: %v", key, p.val, numErr(err))
+			return c.Errorf("bad %s: %v", key, err)
 		}
 	}
 	return nil
@@ -239,12 +233,4 @@ func Each(list, sep string, fn func(item string) error) error {
 		}
 	}
 	return nil
-}
-
-// numErr drops strconv's restatement of the input the error quotes.
-func numErr(err error) error {
-	if ne := (*strconv.NumError)(nil); errors.As(err, &ne) {
-		return ne.Err
-	}
-	return err
 }

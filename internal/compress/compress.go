@@ -249,28 +249,10 @@ func classByToken(tok string) (dram.Class, bool) {
 	return 0, false
 }
 
-// ParseSpec parses the compact codec grammar used by CLI flags and the
-// compress= clause of scheduling specs:
-//
-//	codec[:key=value[,key=value...]]
-//
-// Codecs and their keys:
-//
-//	fixed:ratio=2            flat 2:1 compression
-//	zvc:sparsity=0.6         ZVC at 60% zero activations
-//
-// Shared keys: enc=<cycles/KiB>, dec=<cycles/KiB> (codec engine cost),
-// elem=<bytes> (zvc element width, default 2), and
-// classes=<tok>+<tok>+... restricting the eligible classes to a subset
-// of {ifm, ofm, shortcut, spillw, spillr, interchip}.
-//
-// Examples:
-//
-//	fixed:ratio=2,enc=1,dec=1
-//	zvc:sparsity=0.55,elem=2,enc=2,dec=2,classes=ifm+ofm+shortcut
-//
-// The grammar deliberately avoids ';' so a spec nests verbatim inside
-// the semicolon-separated scheduling grammar.
+// ParseSpec reads one codec clause, the -compress flag or a sched
+// compress= value (DESIGN.md, "Spec grammar" and "Interlayer
+// compression model"), e.g. "fixed:ratio=2,enc=1,dec=1" or
+// "zvc:sparsity=0.55,elem=2,enc=2,dec=2,classes=ifm+ofm+shortcut".
 func ParseSpec(s string) (*Config, error) {
 	s = strings.TrimSpace(s)
 	if s == "" {
@@ -284,7 +266,7 @@ func ParseSpec(s string) (*Config, error) {
 	if cfg.Codec != CodecFixed && cfg.Codec != CodecZVC {
 		return nil, c.Errorf("unknown codec %q (want fixed or zvc)", c.Name)
 	}
-	if c.EmptyParams() {
+	if strings.HasSuffix(s, ":") {
 		return nil, c.Errorf("trailing ':' with no parameters")
 	}
 	if err := errors.Join(

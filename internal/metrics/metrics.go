@@ -18,6 +18,7 @@
 package metrics
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"math"
@@ -182,6 +183,15 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.quantileLocked(q)
 }
 
+// NearestRank returns the nearest-rank q-quantile of a sorted,
+// non-empty sample: the value at rank ceil(q·n), clamped to the
+// sample. It is the one percentile rule of the exact histogram path,
+// the scheduler's QoS tables and the bench reports.
+func NearestRank[T cmp.Ordered](sorted []T, q float64) T {
+	i := int(q*float64(len(sorted))+0.999999) - 1
+	return sorted[max(0, min(i, len(sorted)-1))]
+}
+
 func (h *Histogram) quantileLocked(q float64) float64 {
 	if h.n == 0 {
 		return 0
@@ -189,14 +199,7 @@ func (h *Histogram) quantileLocked(q float64) float64 {
 	if int64(len(h.samples)) == h.n { // every sample retained: exact
 		s := append([]float64(nil), h.samples...)
 		sort.Float64s(s)
-		i := int(q*float64(len(s))+0.999999) - 1
-		if i < 0 {
-			i = 0
-		}
-		if i >= len(s) {
-			i = len(s) - 1
-		}
-		return s[i]
+		return NearestRank(s, q)
 	}
 	// Bucket interpolation: walk to the bucket holding the q-rank,
 	// then interpolate linearly between its edges.

@@ -6,6 +6,7 @@ import (
 
 	"shortcutmining/internal/core"
 	"shortcutmining/internal/dram"
+	"shortcutmining/internal/metrics"
 	"shortcutmining/internal/stats"
 )
 
@@ -32,30 +33,16 @@ type Quantiles struct {
 	P99 int64 `json:"p99"`
 }
 
-// quantiles computes nearest-rank percentiles over a copy of vals.
-func quantiles(vals []int64) Quantiles {
+// ComputeQuantiles computes nearest-rank percentiles over a copy of
+// vals; internal/cluster summarizes its latencies with it too.
+func ComputeQuantiles(vals []int64) Quantiles {
 	if len(vals) == 0 {
 		return Quantiles{}
 	}
 	s := append([]int64(nil), vals...)
 	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	rank := func(q float64) int64 {
-		i := int(q*float64(len(s))+0.999999) - 1
-		if i < 0 {
-			i = 0
-		}
-		if i >= len(s) {
-			i = len(s) - 1
-		}
-		return s[i]
-	}
-	return Quantiles{P50: rank(0.50), P95: rank(0.95), P99: rank(0.99)}
+	return Quantiles{P50: metrics.NearestRank(s, 0.50), P95: metrics.NearestRank(s, 0.95), P99: metrics.NearestRank(s, 0.99)}
 }
-
-// ComputeQuantiles exposes the nearest-rank percentile computation so
-// layers built on this package's result vocabulary (internal/cluster)
-// summarize latencies identically.
-func ComputeQuantiles(vals []int64) Quantiles { return quantiles(vals) }
 
 // StreamResult is one stream's QoS outcome.
 type StreamResult struct {
@@ -181,8 +168,8 @@ func (s *scheduler) assemble() *Result {
 			Completed: acc.completed,
 			Rejected:  acc.rejected,
 
-			Latency:   quantiles(acc.latencies),
-			QueueWait: quantiles(acc.queueWaits),
+			Latency:   ComputeQuantiles(acc.latencies),
+			QueueWait: ComputeQuantiles(acc.queueWaits),
 
 			Preemptions: acc.preemptions,
 			Sched:       acc.sched,

@@ -137,14 +137,14 @@ func TestStreamNames(t *testing.T) {
 }
 
 func TestQuantiles(t *testing.T) {
-	if q := quantiles(nil); q != (Quantiles{}) {
+	if q := ComputeQuantiles(nil); q != (Quantiles{}) {
 		t.Errorf("empty quantiles = %+v", q)
 	}
 	vals := make([]int64, 100)
 	for i := range vals {
 		vals[i] = int64(100 - i) // reverse order: quantiles must sort
 	}
-	q := quantiles(vals)
+	q := ComputeQuantiles(vals)
 	if q.P50 != 50 || q.P95 != 95 || q.P99 != 99 {
 		t.Errorf("quantiles = %+v, want 50/95/99", q)
 	}

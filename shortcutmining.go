@@ -24,6 +24,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"os"
 
 	"shortcutmining/internal/cluster"
 	"shortcutmining/internal/compress"
@@ -242,6 +243,21 @@ func EncodeNetworkJSON(w io.Writer, net *Network) error { return nn.EncodeJSON(w
 // DecodeConfigJSON reads a platform configuration; omitted fields keep
 // their calibrated defaults.
 func DecodeConfigJSON(r io.Reader) (Config, error) { return core.DecodeConfigJSON(r) }
+
+// LoadConfig reads a platform configuration file with
+// DecodeConfigJSON; an empty path yields DefaultConfig (the CLIs'
+// -config flag).
+func LoadConfig(path string) (Config, error) {
+	if path == "" {
+		return DefaultConfig(), nil
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return Config{}, err
+	}
+	defer f.Close()
+	return DecodeConfigJSON(f)
+}
 
 // EncodeConfigJSON writes a platform configuration.
 func EncodeConfigJSON(w io.Writer, cfg Config) error { return core.EncodeConfigJSON(w, cfg) }
