@@ -121,10 +121,21 @@ func (s *Spec) String() string {
 
 var grammar = clause.Grammar{Name: "chaos", Params: clause.Strict}
 
-// ParseSpec reads the -chaos grammar (DESIGN.md, "Spec grammar" and
-// "Chaos harness"), e.g. "seed=7;journal-io:p=0.1;crash@checkpoint:n=2".
-// The returned spec is validated; malformed input yields an error,
-// never a panic.
+// ParseSpec reads the compact chaos grammar used by the -chaos CLI
+// flag (syntax in internal/clause): semicolon-separated clauses, each
+// a fault kind with optional ":key=value" parameters (the same shape
+// as the -faults grammar).
+//
+//	seed=42                 RNG seed (default 1)
+//	journal-io:p=0.1        each journal write/fsync fails with p=0.1
+//	slow-disk:ms=5          every journal append takes 5ms extra
+//	stall:p=0.05,ms=200     workers pause 200ms before 5% of jobs
+//	crash@recover:n=1       crash the 1st time site "recover" is hit
+//
+// Example: "seed=7;journal-io:p=0.1;crash@checkpoint:n=2".
+// A key or an @ trigger the clause does not take is an error. The
+// returned spec is validated; malformed input yields an error, never
+// a panic.
 func ParseSpec(s string) (*Spec, error) {
 	spec := &Spec{Seed: 1}
 	err := grammar.Parse(s, func(c *clause.Clause) error {

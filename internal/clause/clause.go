@@ -86,8 +86,9 @@ type Clause struct {
 }
 
 func (c *Clause) parse(g Grammar, text string, top bool) error {
-	*c = Clause{Text: text, g: g}
-	c.params = c.buf[:0]
+	// Field by field: a struct literal would also zero buf.
+	c.Text, c.Key, c.Value, c.Name, c.at = text, "", "", "", ""
+	c.g, c.hasAt, c.atRead, c.params = g, false, false, c.buf[:0]
 	if i := strings.IndexAny(text, "=@:"); top && i >= 0 && text[i] == '=' {
 		c.Key, c.Value = text[:i], text[i+1:]
 		c.params = append(c.params, param{key: c.Key, val: c.Value})

@@ -249,10 +249,28 @@ func classByToken(tok string) (dram.Class, bool) {
 	return 0, false
 }
 
-// ParseSpec reads one codec clause, the -compress flag or a sched
-// compress= value (DESIGN.md, "Spec grammar" and "Interlayer
-// compression model"), e.g. "fixed:ratio=2,enc=1,dec=1" or
-// "zvc:sparsity=0.55,elem=2,enc=2,dec=2,classes=ifm+ofm+shortcut".
+// ParseSpec parses the compact codec grammar used by CLI flags and the
+// compress= clause of scheduling specs (syntax in internal/clause):
+//
+//	codec[:key=value[,key=value...]]
+//
+// Codecs and their keys:
+//
+//	fixed:ratio=2            flat 2:1 compression
+//	zvc:sparsity=0.6         ZVC at 60% zero activations
+//
+// Shared keys: enc=<cycles/KiB>, dec=<cycles/KiB> (codec engine cost),
+// elem=<bytes> (zvc element width, default 2), and
+// classes=<tok>+<tok>+... restricting the eligible classes to a subset
+// of {ifm, ofm, shortcut, spillw, spillr, interchip}.
+//
+// Examples:
+//
+//	fixed:ratio=2,enc=1,dec=1
+//	zvc:sparsity=0.55,elem=2,enc=2,dec=2,classes=ifm+ofm+shortcut
+//
+// The grammar deliberately avoids ';' so a spec nests verbatim inside
+// the semicolon-separated scheduling grammar.
 func ParseSpec(s string) (*Config, error) {
 	s = strings.TrimSpace(s)
 	if s == "" {

@@ -180,10 +180,22 @@ func (s *Spec) String() string {
 // grammar is the -faults dialect: "bank=7,9" is one comma list.
 var grammar = clause.Grammar{Name: "fault", Params: clause.Lists}
 
-// ParseSpec reads the -faults grammar (DESIGN.md, "Spec grammar" and
-// "Fault model"), e.g. "seed=7;bank-fail@4:n=3;dma-drop:p=0.02;bw-degrade@10:factor=0.5".
-// The returned spec is validated; malformed input yields an error,
-// never a panic.
+// ParseSpec reads the compact fault grammar used by the -faults CLI
+// flag (syntax in internal/clause): semicolon-separated clauses, each
+// a fault kind with an optional "@layer" trigger and ":key=value"
+// parameters.
+//
+//	seed=42                         RNG seed (default 1)
+//	bank-fail@4:n=3                 retire 3 random banks when layer 4 starts
+//	bank-fail@4:bank=7,9            retire banks 7 and 9
+//	bank-transient@6:n=2            2 correctable upsets at layer 6
+//	dma-drop:p=0.05                 every DMA attempt fails with p=0.05
+//	bw-degrade@10:factor=0.5        half bandwidth from layer 10 on
+//
+// Example: "seed=7;bank-fail@4:n=3;dma-drop:p=0.02;bw-degrade@10:factor=0.5".
+// A key or an @ trigger the clause does not take is an error. The
+// returned spec is validated; malformed input yields an error, never
+// a panic.
 func ParseSpec(s string) (*Spec, error) {
 	spec := &Spec{Seed: 1}
 	err := grammar.Parse(s, func(c *clause.Clause) error {

@@ -253,10 +253,25 @@ func (s *Spec) String() string {
 // ("poisson") and are read exactly as written.
 var grammar = clause.Grammar{Name: "sched", Params: clause.Flags}
 
-// ParseSpec reads the scheduling grammar of the -spec flag and the
-// /v1/schedule and /v1/cluster bodies (DESIGN.md, "Spec grammar" and
-// "Multi-tenant scheduling"), e.g.
-// "seed=7;policy=prio;stream=resnet34:n=4,gap=1000000;stream=squeezenet:n=6,gap=300000,prio=2".
+// ParseSpec reads the compact scheduling grammar used by the -spec CLI
+// flag and the /v1/schedule and /v1/cluster endpoints (syntax in
+// internal/clause): semicolon-separated key=value clauses.
+//
+//	seed=42                      RNG seed (default 1)
+//	policy=rr                    fcfs | rr | prio (default fcfs)
+//	quantum=4                    round-robin quantum in layers (default 8)
+//	maxresident=2                bound on launched-but-unfinished runs
+//	compress=zvc:sparsity=0.5    interlayer feature-map codec (compress.ParseSpec)
+//	chips=3                      shard across 3 chips (internal/cluster)
+//	topo=mesh                    interconnect wiring: ring | mesh | all
+//	place=affinity               layer placement: hash | leastload | affinity
+//	linkgbps=16                  per-link bandwidth (GB/s)
+//	hoplat=64                    per-hop link latency (cycles)
+//	stream=resnet34:n=8,gap=2000000          8 requests, fixed inter-arrival gap
+//	stream=squeezenet:n=4,gap=500000,poisson seeded exponential gaps, mean 500000
+//	stream=resnet50:n=2,prio=3,strategy=baseline,banks=10,start=100,name=vip
+//
+// Example: "seed=7;policy=prio;stream=resnet34:n=4,gap=1000000;stream=squeezenet:n=6,gap=300000,prio=2".
 // The returned spec is validated; malformed input yields an error,
 // never a panic.
 func ParseSpec(s string) (*Spec, error) {
