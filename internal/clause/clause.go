@@ -82,7 +82,7 @@ type Clause struct {
 	at            string
 	hasAt, atRead bool
 	params        []param
-	buf           [8]param
+	buf           [4]param
 }
 
 func (c *Clause) parse(g Grammar, text string, top bool) error {
